@@ -1,5 +1,8 @@
 """Command line interface: verification certificates and survey tables.
 
+Both commands only render certificates from ``replay_proof``; a survey row
+is a summary of the all-layer certificate for its power.
+
 Exit codes: 0 success (including the reported-survivors regime m <= 2g),
 1 verification failure, 2 usage or resource errors.
 """
@@ -8,26 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 
-from .diagonals import (
-    Ambient,
-    cycle_equal,
-    cycle_scale,
-    modified_diagonal,
-    mult_pushforward_all,
-    proj_pushforward,
-)
 from .grading import (
-    DEFAULT_ENUM_BOUND,
     DEFAULT_MAX_DIM,
-    DEFAULT_MULT_SAMPLE,
     FAIL,
+    FORMAL_IDENTITY,
     LAYERS,
+    PASS,
     PIGEONHOLE,
-    _count_bounded,
+    SKIPPED,
     certificate_to_json,
     certificate_to_text,
+    graded_dimension,
     replay_proof,
 )
 
@@ -81,7 +76,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
     g, m = args.genus, args.power
     if "cohomology" in layers:
-        dim = comb(2 * g * m, 2 * g)
+        dim = graded_dimension(g, m)
         if dim >= args.max_dim:
             print(
                 f"error: the cohomology layer at g={g} m={m} needs a graded piece of"
@@ -99,44 +94,39 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     else:
         sys.stdout.write(payload)
 
-    if cert.result == "PASS":
-        return 0
-    # For m <= 2g the pigeonhole step fails by design: survivors are
-    # reported and no vanishing is claimed.  Anything else failing is a
-    # genuine verification failure.
-    if m <= 2 * g and all(s.status != FAIL or s.kind == PIGEONHOLE for s in cert.steps):
-        return 0
-    return 1
+    return 0 if _accepted(cert) else 1
+
+
+def _accepted(cert) -> bool:
+    """The exit-code rule shared by verify and survey.
+
+    For m <= 2g the pigeonhole step fails by design: survivors are reported
+    and no vanishing is claimed.  Anything else failing is a genuine
+    verification failure.
+    """
+    if cert.result == PASS:
+        return True
+    return cert.m <= 2 * cert.g and all(
+        s.status != FAIL or s.kind == PIGEONHOLE for s in cert.steps
+    )
 
 
 def _survey_row(g: int, m: int, max_dim: int) -> dict:
-    amb = Ambient(g, m)
-    md = modified_diagonal(amb)
-    formal_ok = all(
-        cycle_equal(mult_pushforward_all(md, n), cycle_scale(md, n ** (2 * g)))
-        for n in DEFAULT_MULT_SAMPLE
-    ) and all(proj_pushforward(md, j).is_zero for j in range(1, m + 1) if m >= 2)
-    nu = 2 * g * (m - 1)
-    survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    dim = comb(2 * g * m, 2 * g)
-    if dim < max_dim:
-        from .cohomology import class_of_cycle
-
-        cohomology = "zero" if class_of_cycle(md).is_zero else "nonzero"
-    else:
+    cert = replay_proof(g, m, layers=LAYERS, max_dim=max_dim)
+    steps = {s.id: s for s in cert.steps}
+    formal_ok = all(s.status == PASS for s in cert.steps if s.kind == FORMAL_IDENTITY)
+    shadow = steps["cohomology-shadow"]
+    if shadow.status == SKIPPED:
         cohomology = "SKIPPED"
-    predicted = m >= 2 * g + 1
-    consistent = formal_ok
-    consistent = consistent and (survivor_count == 0) == predicted
-    if predicted and cohomology == "nonzero":
-        consistent = False
+    else:
+        cohomology = "zero" if shadow.witness["is_zero"] else "nonzero"
     return {
         "m": m,
         "formal": "pass" if formal_ok else "FAIL",
-        "survivors": survivor_count,
+        "survivors": steps["kunneth-survivors"].witness["survivor_count"],
         "cohomology": cohomology,
-        "prediction": "vanishes (m >= 2g+1)" if predicted else "no claim (m <= 2g)",
-        "consistent": consistent,
+        "prediction": "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)",
+        "consistent": _accepted(cert),
     }
 
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .diagonals import Ambient, FormalCycle
-from .exact import combo
+from .diagonals import Ambient, FormalCycle, _common_ambient
+from .exact import _add_term, combo, combo_add, combo_scale, render_terms
 
 
 @dataclass(frozen=True)
@@ -162,41 +162,24 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _add_term(terms: dict, mask: int, value: Fraction) -> None:
-    total = terms.get(mask, 0) + value
-    if total:
-        terms[mask] = total
-    elif mask in terms:
-        del terms[mask]
-
-
 def ext_add(a: ExtClass, b: ExtClass) -> ExtClass:
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    out = dict(a.terms)
-    for mask, coeff in b.terms.items():
-        _add_term(out, mask, coeff)
-    return ExtClass(a.ambient, out)
+    return ExtClass(_common_ambient(a, b), combo_add(a.terms, b.terms))
 
 
 def ext_scale(a: ExtClass, c) -> ExtClass:
-    k = Fraction(c)
-    if not k:
-        return zero_class(a.ambient)
-    return ExtClass(a.ambient, {mask: coeff * k for mask, coeff in a.terms.items()})
+    return ExtClass(a.ambient, combo_scale(a.terms, c))
 
 
 def wedge(a: ExtClass, b: ExtClass) -> ExtClass:
     """Graded product; a repeated generator kills a term."""
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
+    ambient = _common_ambient(a, b)
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue
             _add_term(out, ma | mb, ca * cb * _merge_sign(ma, mb))
-    return ExtClass(a.ambient, out)
+    return ExtClass(ambient, out)
 
 
 def integrate(c: ExtClass) -> Fraction:
@@ -372,17 +355,7 @@ def _positions(mask: int) -> tuple[int, ...]:
 def render_class(c: ExtClass) -> str:
     """Canonical text form: terms sorted by monomial, generators as e[j,k]."""
     two_g = 2 * c.ambient.g
-    items = sorted(c.terms.items(), key=lambda kv: _positions(kv[0]))
-    if not items:
-        return "0"
-    parts = []
-    for i, (mask, coeff) in enumerate(items):
-        gens = "^".join(
-            f"e[{pos // two_g + 1},{pos % two_g + 1}]" for pos in _positions(mask)
-        )
-        body = f"{abs(coeff)} * {gens}" if gens else f"{abs(coeff)}"
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return render_terms(
+        (coeff, "^".join(f"e[{pos // two_g + 1},{pos % two_g + 1}]" for pos in _positions(mask)))
+        for mask, coeff in sorted(c.terms.items(), key=lambda kv: _positions(kv[0]))
+    )

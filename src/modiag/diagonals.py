@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact import combo_sorted_items
+from .exact import _add_term, combo_add, combo_scale, combo_sorted_items, render_terms
 
 TwistVector = tuple[int, ...]
 
@@ -50,10 +50,16 @@ class Ambient:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 1:
-            raise ValueError(f"g must be an integer >= 1, got {self.g!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        for name, value in (("g", self.g), ("m", self.m)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _common_ambient(a, b) -> Ambient:
+    """The ambient shared by two cycles or two classes; a mismatch is an error."""
+    if a.ambient != b.ambient:
+        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
+    return a.ambient
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,6 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[Fraction, TwistVector | None
     sign = 1 if first > 0 else -1
     v = tuple((sign * x) // d for x in entries)
     return Fraction(d) ** (2 * ambient.g), v
-
-
-def _add_term(terms: dict, key: TwistVector, value: Fraction) -> None:
-    total = terms.get(key, 0) + value
-    if total:
-        terms[key] = total
-    elif key in terms:
-        del terms[key]
 
 
 def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
@@ -210,39 +208,22 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    out = dict(a.terms)
-    for v, coeff in b.terms.items():
-        _add_term(out, v, coeff)
-    return FormalCycle(a.ambient, out)
+    return FormalCycle(_common_ambient(a, b), combo_add(a.terms, b.terms))
 
 
 def cycle_scale(c: FormalCycle, coeff) -> FormalCycle:
-    k = Fraction(coeff)
-    if not k:
-        return zero_cycle(c.ambient)
-    return FormalCycle(c.ambient, {v: x * k for v, x in c.terms.items()})
+    return FormalCycle(c.ambient, combo_scale(c.terms, coeff))
 
 
 def cycle_equal(a: FormalCycle, b: FormalCycle) -> bool:
     """Exact equality of canonical forms.  Mismatched ambients are an error,
     not inequality."""
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
+    _common_ambient(a, b)
     return a.terms == b.terms
 
 
 def render_cycle(c: FormalCycle) -> str:
     """Canonical text form: terms sorted by vector, 'coeff * D(v_1,...,v_m)'."""
-    items = combo_sorted_items(c.terms)
-    if not items:
-        return "0"
-    parts = []
-    for i, (v, coeff) in enumerate(items):
-        body = f"{abs(coeff)} * D({','.join(map(str, v))})"
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return render_terms(
+        (coeff, f"D({','.join(map(str, v))})") for v, coeff in combo_sorted_items(c.terms)
+    )

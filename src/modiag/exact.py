@@ -23,6 +23,20 @@ Rational = Fraction
 Combo = dict
 
 
+def _add_term(out: dict, key, value) -> None:
+    """Fold value into out[key] in place, dropping the key if it cancels.
+
+    The one per-term fold of the package; cycles and classes call it from
+    their hot loops.  It is private because it runs once per term, and the
+    per-function trace in perfbench wraps public names only.
+    """
+    total = out.get(key, 0) + value
+    if total:
+        out[key] = total
+    elif key in out:
+        del out[key]
+
+
 def combo(terms: Mapping | Iterable[tuple] = ()) -> Combo:
     """Build a combo in canonical form.
 
@@ -34,13 +48,8 @@ def combo(terms: Mapping | Iterable[tuple] = ()) -> Combo:
     out: Combo = {}
     for key, value in items:
         c = Fraction(value)
-        if not c:
-            continue
-        total = out.get(key, 0) + c
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
+        if c:
+            _add_term(out, key, c)
     return out
 
 
@@ -48,11 +57,7 @@ def combo_add(a: Combo, b: Combo) -> Combo:
     """Termwise sum; terms that cancel disappear."""
     out = dict(a)
     for key, c in b.items():
-        total = out.get(key, 0) + c
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
+        _add_term(out, key, c)
     return out
 
 
@@ -67,3 +72,21 @@ def combo_scale(a: Combo, c) -> Combo:
 def combo_sorted_items(a: Combo) -> list[tuple]:
     """Terms sorted by key, the canonical order for rendering."""
     return sorted(a.items(), key=lambda kv: kv[0])
+
+
+def render_terms(terms: Iterable[tuple]) -> str:
+    """Signed-sum text of (coefficient, label) pairs, in the order given.
+
+    Each term reads 'abs(coefficient) * label', or the bare magnitude when
+    the label is empty; the first term carries a leading '-' if negative,
+    later ones are joined by '+ ' or '- '.  No terms render as '0'.
+    """
+    parts = []
+    for coeff, label in terms:
+        body = f"{abs(coeff)} * {label}" if label else f"{abs(coeff)}"
+        if parts:
+            body = f"+ {body}" if coeff > 0 else f"- {body}"
+        elif coeff < 0:
+            body = f"-{body}"
+        parts.append(body)
+    return " ".join(parts) if parts else "0"

@@ -90,6 +90,12 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     return 2 * g * m - w
 
 
+def graded_dimension(g: int, m: int) -> int:
+    """Dimension C(2gm, 2g) of the graded piece the cohomology shadow walks
+    to realize one twisted diagonal on X^m; ``max_dim`` bounds this."""
+    return comb(2 * g * m, 2 * g)
+
+
 def _count_bounded(slots: int, total: int, cap: int) -> int:
     """Number of tuples in {0..cap}^slots with the given sum, by
     inclusion-exclusion on entries exceeding cap."""
@@ -396,7 +402,7 @@ def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
 def _cohomology_step(g: int, m: int, enum_bound: int, max_dim: int) -> Step:
     from .cohomology import class_of_cycle, profile_support
 
-    dim = comb(2 * g * m, 2 * g)
+    dim = graded_dimension(g, m)
     if dim >= max_dim:
         return Step(
             id="cohomology-shadow",
@@ -467,8 +473,7 @@ def replay_proof(
     asserts a vanishing the argument does not give.  Resource-bound
     overruns surface as SKIPPED steps, never as silent truncation.
     """
-    if g < 1 or m < 1:
-        raise ValueError("need g >= 1 and m >= 1")
+    Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)
     unknown = layer_set - set(LAYERS)
     if unknown or not layer_set:

@@ -107,6 +107,30 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     assert code == 1
 
 
+def test_survey_failure_exit_code_is_one(capsys, monkeypatch):
+    # a non-pigeonhole FAIL in any row's certificate fails the survey
+    import dataclasses
+
+    import modiag.cli as cli_module
+    from modiag.grading import replay_proof
+
+    def broken(g, m, **kwargs):
+        cert = replay_proof(g, m, **kwargs)
+        if m != 2:
+            return cert
+        steps = tuple(
+            dataclasses.replace(s, status="FAIL") if s.id == "mult-eigenvalue" else s
+            for s in cert.steps
+        )
+        return dataclasses.replace(cert, steps=steps, result="FAIL")
+
+    monkeypatch.setattr(cli_module, "replay_proof", broken)
+    code, out, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "3")
+    assert code == 1
+    rows = out.rstrip("\n").split("\n")[2:]
+    assert [row.split()[1] for row in rows] == ["pass", "FAIL", "pass"]
+
+
 def test_survey_rows_and_determinism(capsys):
     code, out, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "4")
     assert code == 0

@@ -30,6 +30,10 @@ def test_ambient_validation():
         Ambient(0, 2)
     with pytest.raises(ValueError):
         Ambient(1, 0)
+    with pytest.raises(ValueError):
+        Ambient(True, 2)
+    with pytest.raises(ValueError):
+        Ambient(1, True)
 
 
 def test_normalize_twist_examples():

@@ -191,6 +191,10 @@ def test_replay_proof_input_validation():
     with pytest.raises(ValueError):
         replay_proof(0, 2)
     with pytest.raises(ValueError):
+        replay_proof(True, 3, layers=["grading"])
+    with pytest.raises(ValueError):
+        replay_proof(1, True, layers=["grading"])
+    with pytest.raises(ValueError):
         replay_proof(1, 2, layers=("formal", "nonsense"))
     with pytest.raises(ValueError):
         replay_proof(1, 2, layers=())
