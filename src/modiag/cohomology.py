@@ -29,6 +29,49 @@ dimension 2^20, which keeps the computation cheap.
 The maps realized are exactly the three the diagonal calculus pushes
 along: twisted diagonals x -> (v_1*x, ..., v_m*x), projections forgetting
 factors, and blockwise multiplication by integers.
+
+The modified diagonal has a closed form, ``modified_diagonal_class``.  The
+dual-basis pushforward (``class_of_twist`` and ``class_of_cycle``) is kept
+as its test oracle and is no longer on the certificate path.
+
+Every map kind sends a degree-one generator to a multiple of one generator,
+so along the diagonal of v the only monomials of degree 2g with a nonzero
+pullback are the transversals: one generator e[kappa(k),k] from each
+column k, for a map kappa: {1..2g} -> {1..m}.  Let b_kappa be the monomial
+on them.  The column-ordered wedge e[kappa(1),1]^...^e[kappa(2g),2g] pulls
+back to prod_k v_kappa(k) * e[1]^...^e[2g], and it equals pi_kappa * b_kappa,
+where pi_kappa = (-1)^#{k < k' : kappa(k) > kappa(k')} sorts its positions.
+Write T - b_kappa for the monomial of every other generator.  Its pairing
+sign against b_kappa is (-1)^(sum of the positions of b_kappa - C(2g, 2)),
+which is +1 because the positions 2g(kappa(k)-1) + (k-1) sum to C(2g, 2)
+modulo 2g.  The dual-basis method therefore gives
+
+    class_of_twist(v) = sum_kappa pi_kappa * prod_k v_kappa(k) * (T - b_kappa).
+
+Grouped by columns this is the product formula
+
+    class_of_twist(v) = eps(g, m) * wedge_{k=1..2g} omega_k,
+    omega_k = sum_j (-1)^(m-j) v_j ê_{j,k},   eps(g, m) = (-1)^(g(m-1)(m-2)/2),
+
+where ê_{j,k} is the wedge of e[i,k] over i != j in increasing i.  To
+derive eps, pair the product with the column-ordered wedge of a
+transversal, using omega_k ^ e[j,k] = v_j C_k with
+C_k = e[1,k]^...^e[m,k].  Moving each degree-one cofactor e[kappa(k),k]
+left past the degree-(m-1) factors omega_k', k' > k, costs (m-1)g(2g-1)
+transpositions, and reordering C_1^...^C_2g into the top monomial is the
+transpose of an m x 2g array, C(m, 2)C(2g, 2) transpositions.  So the
+product pairs with it to (-1)^(g(m-1) + g*m(m-1)/2) prod_k v_kappa(k), and
+the adjunction needs its pullback, prod_k v_kappa(k); the two exponents sum
+to g(m-1)(m-2)/2 modulo 2.
+
+Gamma(m) sums D(v) over the indicator vectors of nonempty I in {1..m} with
+sign (-1)^(m-|I|), so the term of kappa picks up c(S) = sum over I ⊇ S of
+(-1)^(m-|I|), S the image of kappa.  That sum is 1 for S = {1..m} and 0
+otherwise, and it is computed for every image size up to 2g rather than
+assumed.  Hence [Gamma(m)] is the sum of pi_kappa * (T - b_kappa) over the
+maps kappa onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology
+(Beauville 1986; Deninger-Murre 1991), and otherwise m! S(2g, m) terms of
+coefficient +-1 supported on the profiles (2g - |kappa^-1(j)|)_j.
 """
 
 from __future__ import annotations
@@ -36,6 +79,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 from .diagonals import Ambient, FormalCycle, _common_ambient
@@ -317,6 +361,52 @@ def class_of_cycle(c: FormalCycle) -> ExtClass:
         for mask, k in class_of_twist(v, c.ambient).terms.items():
             _add_term(out, mask, coeff * k)
     return ExtClass(c.ambient, out)
+
+
+def _image_coefficient(m: int, size: int) -> int:
+    """c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|), for any |S| = size.
+
+    The supersets of S are S plus a subset of its complement, so they are
+    counted by size, C(m - size, t) of size size + t.  The sum is computed,
+    not asserted: it is 1 for S = {1..m} and cancels to 0 otherwise.
+    """
+    rest = m - size
+    return sum((-1) ** (rest - t) * comb(rest, t) for t in range(rest + 1))
+
+
+def modified_diagonal_class(ambient: Ambient) -> ExtClass:
+    """[Gamma(m)] in closed form; equals class_of_cycle(modified_diagonal(ambient)).
+
+    The term of a map kappa: {1..2g} -> {1..m} is c(image) * pi_kappa times
+    the monomial of every generator outside the transversal e[kappa(k), k]
+    (see the module docstring).  Only images with c != 0 are expanded, and
+    the maps onto such an image are enumerated directly.
+    """
+    g, m = ambient.g, ambient.m
+    two_g = 2 * g
+    top = (1 << (two_g * m)) - 1
+    out: dict = {}
+
+    def expand(image, c: int, k: int, b: int, inversions: int, unhit: int) -> None:
+        # kappa(1..k) is fixed; b is its transversal and unhit the image
+        # blocks not yet reached, which must fit in the 2g - k columns left.
+        if unhit.bit_count() > two_g - k:
+            return
+        if k == two_g:
+            # b determines kappa, so no monomial is written twice.
+            out[top ^ b] = Fraction(-c if inversions & 1 else c)
+            return
+        for j in image:
+            # Columns before k already placed in a later block are inverted.
+            later = (b >> ((j + 1) * two_g)).bit_count()
+            expand(image, c, k + 1, b | 1 << (j * two_g + k), inversions + later, unhit & ~(1 << j))
+
+    for size in range(1, min(two_g, m) + 1):
+        c = _image_coefficient(m, size)
+        if c:
+            for image in itertools.combinations(range(m), size):
+                expand(image, c, 0, 0, 0, sum(1 << j for j in image))
+    return ExtClass(ambient, out)
 
 
 def block_profile(ambient: Ambient, mask: int) -> tuple[int, ...]:

@@ -83,8 +83,7 @@ SCHEMA_VERSION = "1"
 
 def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     """Total weight of a class whose mult(n) pushforward scales by n^w."""
-    if g < 1 or m < 1:
-        raise ValueError("need g >= 1 and m >= 1")
+    Ambient(g, m)  # rejects non-integers, bools and values below 1
     if not 0 <= w <= 2 * g * m:
         raise ValueError(f"eigen-exponent must lie in 0..{2 * g * m}, got {w}")
     return 2 * g * m - w
@@ -112,6 +111,7 @@ def _count_bounded(slots: int, total: int, cap: int) -> int:
 
 def count_admissible(g: int, m: int, nu: int) -> int:
     """Number of multidegrees in {0..2g}^m of total nu, without enumeration."""
+    Ambient(g, m)
     return _count_bounded(m, nu, 2 * g)
 
 
@@ -136,8 +136,7 @@ def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
 
 
 def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
-    if g < 1 or m < 1:
-        raise ValueError("need g >= 1 and m >= 1")
+    Ambient(g, m)
     return list(iter_admissible(g, m, nu))
 
 
@@ -168,8 +167,7 @@ class PigeonholeOutcome:
 
 
 def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
-    if g < 1 or m < 1:
-        raise ValueError("need g >= 1 and m >= 1")
+    Ambient(g, m)
     weight = 2 * g * (m - 1)
     if m >= 2 * g + 1:
         return PigeonholeOutcome(g, m, weight, 2 * g, True, None)
@@ -269,7 +267,9 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
     return [mult_step, contraction_step]
 
 
-def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
+def _grading_steps(
+    g: int, m: int, survivors: list[MultiDegree] | None, enum_bound: int
+) -> list[Step]:
     steps = [
         Step(
             id="motivic-decomposition",
@@ -312,8 +312,7 @@ def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
     outcome = prove_empty_pigeonhole(g, m)
     admissible_count = count_admissible(g, m, nu)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    if admissible_count <= enum_bound:
-        survivors = filter_top(admissible_degrees(g, m, nu), g)
+    if survivors is not None:
         consistent = len(survivors) == survivor_count
         if outcome.holds:
             consistent = consistent and not survivors
@@ -399,8 +398,10 @@ def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
     return steps
 
 
-def _cohomology_step(g: int, m: int, enum_bound: int, max_dim: int) -> Step:
-    from .cohomology import class_of_cycle, profile_support
+def _cohomology_step(
+    g: int, m: int, survivors: list[MultiDegree] | None, max_dim: int
+) -> Step:
+    from .cohomology import modified_diagonal_class, profile_support
 
     dim = graded_dimension(g, m)
     if dim >= max_dim:
@@ -415,7 +416,7 @@ def _cohomology_step(g: int, m: int, enum_bound: int, max_dim: int) -> Step:
             status=SKIPPED,
             witness={"graded_dimension": dim, "max_dim": max_dim},
         )
-    cls = class_of_cycle(modified_diagonal(Ambient(g, m)))
+    cls = modified_diagonal_class(Ambient(g, m))
     support = sorted(profile_support(cls))
     top_clear = all(2 * g not in p for p in support)
     witness: dict = {
@@ -432,10 +433,8 @@ def _cohomology_step(g: int, m: int, enum_bound: int, max_dim: int) -> Step:
         ok = cls.is_zero
         statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
     else:
-        nu = 2 * g * (m - 1)
-        if count_admissible(g, m, nu) <= enum_bound:
-            survivors = set(filter_top(admissible_degrees(g, m, nu), g))
-            contained = set(support) <= survivors
+        if survivors is not None:
+            contained = set(support) <= set(survivors)
             witness["survivor_containment"] = "verified" if contained else "violated"
         else:
             contained = True
@@ -482,13 +481,22 @@ def replay_proof(
     if not sample or any(n == 0 for n in sample):
         raise ValueError("the multiplication sample must be nonzero integers")
 
+    # The Kunneth survivors at weight 2g(m-1), enumerated once for both the
+    # grading step and the shadow's containment check; None when the
+    # enumeration is above enum_bound or no requested step reads it.
+    nu = 2 * g * (m - 1)
+    survivors = None
+    shadow_reads = "cohomology" in layer_set and m <= 2 * g and graded_dimension(g, m) < max_dim
+    if ("grading" in layer_set or shadow_reads) and count_admissible(g, m, nu) <= enum_bound:
+        survivors = filter_top(admissible_degrees(g, m, nu), g)
+
     steps: list[Step] = []
     if "formal" in layer_set:
         steps.extend(_formal_steps(g, m, sample))
     if "grading" in layer_set:
-        steps.extend(_grading_steps(g, m, enum_bound))
+        steps.extend(_grading_steps(g, m, survivors, enum_bound))
     if "cohomology" in layer_set:
-        steps.append(_cohomology_step(g, m, enum_bound, max_dim))
+        steps.append(_cohomology_step(g, m, survivors, max_dim))
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)

@@ -67,6 +67,25 @@ def test_verify_resource_bound_is_a_usage_error(capsys):
     assert "max-dim" in err
 
 
+def test_verify_shadow_at_first_vanishing_power_g3(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--genus", "3", "--power", "7",
+        "--layers", "formal,grading,cohomology",
+    )
+    assert code == 0
+    shadow = json.loads(out)["steps"][-1]
+    assert (shadow["id"], shadow["status"], shadow["witness"]["is_zero"]) == (
+        "cohomology-shadow", "PASS", True,
+    )
+    # the dimension bound still refuses the layer when set below C(42, 6)
+    code, _, err = run_cli(
+        capsys, "verify", "--genus", "3", "--power", "7",
+        "--layers", "cohomology", "--max-dim", "1000",
+    )
+    assert code == 2
+    assert "max-dim" in err
+
+
 def test_verify_output_is_byte_stable(capsys):
     args = ("verify", "--genus", "2", "--power", "5", "--layers", "formal,grading")
     code1, out1, _ = run_cli(capsys, *args)

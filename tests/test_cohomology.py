@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +21,12 @@ from modiag import (
     ext_add,
     ext_class,
     ext_scale,
+    filter_top,
     generator,
     integrate,
     kunneth_component,
     modified_diagonal,
+    modified_diagonal_class,
     monomial_mask,
     profile_support,
     projection_map,
@@ -35,6 +39,7 @@ from modiag import (
     wedge,
     zero_class,
 )
+from modiag.cohomology import _image_coefficient
 
 E1 = Ambient(1, 1)
 E2 = Ambient(1, 2)
@@ -327,3 +332,79 @@ def test_vanishing_shadow_small():
         for profile in admissible_degrees(g, m, 2 * g * (m - 1)):
             if 2 * g in profile:
                 assert kunneth_component(cls, profile).is_zero
+
+
+# (g, m) pairs on which the closed form is checked term for term against the
+# dual-basis pushforward summed over the inclusion-exclusion.
+ORACLE_PAIRS = (
+    [(1, m) for m in range(1, 11)]
+    + [(2, m) for m in range(1, 6)]
+    + [(3, m) for m in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("g,m", ORACLE_PAIRS)
+def test_modified_diagonal_class_matches_dual_basis_oracle(g, m):
+    amb = Ambient(g, m)
+    assert modified_diagonal_class(amb) == class_of_cycle(modified_diagonal(amb))
+
+
+def stirling2(n, k):
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1)) // math.factorial(k)
+
+
+@pytest.mark.parametrize("g,m", [(g, m) for g in (1, 2, 3) for m in range(1, 2 * g + 1)] + [(4, 8)])
+def test_modified_diagonal_class_below_threshold_structure(g, m):
+    # one term per map {1..2g} -> {1..m} onto every factor, each +-1, on
+    # exactly the Kunneth profiles the grading layer lets survive
+    cls = modified_diagonal_class(Ambient(g, m))
+    assert len(cls.terms) == math.factorial(m) * stirling2(2 * g, m)
+    assert set(cls.terms.values()) <= {Fraction(1), Fraction(-1)}
+    survivors = filter_top(admissible_degrees(g, m, 2 * g * (m - 1)), g)
+    assert profile_support(cls) == set(survivors)
+
+
+def test_image_coefficient_is_the_superset_sum():
+    for m in range(1, 8):
+        for size in range(1, m + 1):
+            for image in itertools.combinations(range(m), size):
+                rest = [j for j in range(m) if j not in image]
+                explicit = sum(
+                    (-1) ** (m - size - t)
+                    for t in range(len(rest) + 1)
+                    for _ in itertools.combinations(rest, t)
+                )
+                assert _image_coefficient(m, size) == explicit
+            assert _image_coefficient(m, size) == (1 if size == m else 0)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_modified_diagonal_class_cancels_beyond_threshold(g):
+    for m in range(2 * g + 1, 2 * g + 4):
+        assert all(_image_coefficient(m, size) == 0 for size in range(1, 2 * g + 1))
+        assert modified_diagonal_class(Ambient(g, m)).is_zero
+
+
+def column_product_class(v, amb):
+    """eps(g, m) times the wedge over k of sum_j (-1)^(m-j) v_j ê_{j,k}."""
+    g, m = amb.g, amb.m
+    eps = -1 if g * (m - 1) * (m - 2) // 2 % 2 else 1
+    out = ext_scale(unit(amb), eps)
+    for k in range(1, 2 * g + 1):
+        omega = zero_class(amb)
+        for j in range(1, m + 1):
+            hat = monomial_mask(amb, [(i, k) for i in range(1, m + 1) if i != j])
+            omega = ext_add(omega, ext_class(amb, {hat: Fraction((-1) ** (m - j) * v[j - 1])}))
+        out = wedge(out, omega)
+    return out
+
+
+def test_class_of_twist_product_formula():
+    rng = random.Random(17)
+    for g, m in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        amb = Ambient(g, m)
+        for _ in range(4):
+            v = [rng.randint(-3, 3) for _ in range(m)]
+            if not any(v):
+                v[0] = 1
+            assert column_product_class(v, amb) == class_of_twist(v, amb)

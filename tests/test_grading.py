@@ -187,6 +187,34 @@ def test_cohomology_step_consistent_for_small_m():
     assert shadow.witness["support"] == [[1, 3], [2, 2], [3, 1]]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weight_from_eigenvalue(True, 2, 1),
+        lambda: weight_from_eigenvalue(1, True, 1),
+        lambda: count_admissible(True, 3, 4),
+        lambda: count_admissible(1, True, 0),
+        lambda: admissible_degrees(True, 2, 2),
+        lambda: admissible_degrees(1, True, 0),
+        lambda: prove_empty_pigeonhole(True, 3),
+        lambda: prove_empty_pigeonhole(1, True),
+        lambda: count_admissible(0, 3, 4),
+        lambda: admissible_degrees(1, 2.0, 2),
+    ],
+)
+def test_grading_helpers_reject_bool_and_non_integer_shapes(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_replay_proof_first_vanishing_power_with_every_layer(g):
+    cert = replay_proof(g, 2 * g + 1, layers=("formal", "grading", "cohomology"), max_dim=10**40)
+    assert cert.result == PASS
+    shadow = cert.steps[-1]
+    assert (shadow.id, shadow.status, shadow.witness["is_zero"]) == ("cohomology-shadow", PASS, True)
+
+
 def test_replay_proof_input_validation():
     with pytest.raises(ValueError):
         replay_proof(0, 2)
