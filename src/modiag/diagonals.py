@@ -8,9 +8,10 @@ x -> (v_1*x, ..., v_m*x).  Only the zero section appears as a base point:
 translation by any other section is an automorphism of X^m carrying one
 modified diagonal to the other, so nothing is lost.
 
-Cycles here are finite Fraction-linear combinations of the D(v), with v
-kept in a canonical form by two rewrite rules.  Both rules are identities
-on rational Chow classes:
+Cycles here are finite linear combinations of the D(v) with exact rational
+coefficients: ``int`` on the modified-diagonal path, ``Fraction`` where a
+caller passes one.  The vectors v are kept in a canonical form by two
+rewrite rules, both identities on rational Chow classes:
 
   gcd rule    D(d*v) = d^(2g) * D(v) for d >= 1, because multiplication
               by d is finite flat of degree d^(2g);
@@ -33,6 +34,7 @@ exact exterior-algebra model.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -64,11 +66,13 @@ def _common_ambient(a, b) -> Ambient:
 
 @dataclass(frozen=True)
 class FormalCycle:
-    """A Fraction-linear combination of twisted diagonals on X^m.
+    """An exact rational combination of twisted diagonals on X^m.
 
-    ``terms`` maps canonical TwistVectors to nonzero Fractions.  Build
-    cycles with :func:`cycle` or :func:`twist_cycle`; those normalize raw
-    vectors and fold coefficients, keeping the representation canonical.
+    ``terms`` maps canonical TwistVectors to nonzero coefficients: ``int``
+    in :func:`modified_diagonal` and its pushforwards, ``Fraction`` in
+    cycles built by :func:`cycle` or :func:`twist_cycle`.  Those two
+    normalize raw vectors and fold coefficients, keeping the representation
+    canonical.  Equality holds across the two types, since Fraction(k) == k.
     """
 
     ambient: Ambient
@@ -79,26 +83,30 @@ class FormalCycle:
         return not self.terms
 
 
-def normalize_twist(raw, ambient: Ambient) -> tuple[Fraction, TwistVector | None]:
+def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     """Rewrite a raw integer vector into (coefficient, canonical vector).
 
-    Returns (d^(2g), v) where d is the gcd of the entries and v is raw/d
-    with the sign flipped if needed so its first nonzero entry is positive.
+    Returns the integer d^(2g) and v, where d is the gcd of the entries and
+    v is raw/d with the sign flipped if needed so its first nonzero entry is
+    positive; an already canonical vector comes back as (1, raw entries).
     The zero vector returns (1, None): its class collapses onto a point and
-    contributes nothing.
+    contributes nothing.  Entries must be integers (``operator.index``):
+    floats, strings and Fractions raise TypeError.
     """
-    entries = tuple(int(x) for x in raw)
+    entries = tuple(map(operator.index, raw))
     if len(entries) != ambient.m:
         raise ValueError(
             f"expected a vector of length {ambient.m}, got {len(entries)}"
         )
-    if not any(entries):
-        return Fraction(1), None
     d = math.gcd(*entries)
+    if not d:
+        return 1, None
     first = next(x for x in entries if x)
-    sign = 1 if first > 0 else -1
-    v = tuple((sign * x) // d for x in entries)
-    return Fraction(d) ** (2 * ambient.g), v
+    if d == 1 and first > 0:
+        return 1, entries
+    if first < 0:
+        d = -d
+    return d ** (2 * ambient.g), tuple(x // d for x in entries)
 
 
 def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
@@ -141,7 +149,7 @@ def modified_diagonal(ambient: Ambient) -> FormalCycle:
     terms: dict = {}
     for bits in range(1, 1 << m):
         v = tuple((bits >> i) & 1 for i in range(m))
-        terms[v] = Fraction(-1) ** (m - bits.bit_count())
+        terms[v] = -1 if (m - bits.bit_count()) & 1 else 1
     return FormalCycle(ambient, terms)
 
 
@@ -156,8 +164,10 @@ def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     Entry j of each vector is scaled by n and the result renormalized.  A
     term whose vector becomes zero (only possible when n = 0 and the vector
     was supported on factor j alone) collapses onto a point and is dropped.
+    n must be an integer; a float, string or Fraction raises TypeError.
     """
     _require_factor(c.ambient, j)
+    n = operator.index(n)
     out: dict = {}
     for v, coeff in c.terms.items():
         raw = list(v)
@@ -174,8 +184,10 @@ def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
 
     Requires n != 0; n = 0 collapses all of X^m onto the zero section and
     is out of scope.  Each term rescales by exactly n^(2g), which the gcd
-    and sign rules recover term by term.
+    and sign rules recover term by term.  n must be an integer; a float,
+    string or Fraction raises TypeError.
     """
+    n = operator.index(n)
     if n == 0:
         raise ValueError("n = 0 collapses the whole product; rejected")
     out: dict = {}

@@ -1,10 +1,13 @@
 """Exact sparse linear combinations over the rationals.
 
-Coefficients are ``fractions.Fraction`` values, so everything in this
-package is exact: a zero result is a proof of cancellation, never a
-numerical statement.
+Coefficients are exact rationals: ``int`` where every coefficient is an
+integer (the modified-diagonal path), ``fractions.Fraction`` where a caller
+passes one.  Everything in this package is therefore exact: a zero result
+is a proof of cancellation, never a numerical statement.  The two types mix
+freely (``Fraction * int`` is a Fraction) and compare and hash alike for
+integral values, so combos holding either are equal when their values are.
 
-A combination ("combo") is a plain dict mapping keys to nonzero Fraction
+A combination ("combo") is a plain dict mapping keys to nonzero exact
 coefficients.  The empty dict is the zero combination.  Keys must be
 totally ordered (tuples of ints, or ints, throughout this package) so
 terms can be listed in a canonical order.  Constructors and operations
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping
 
 Rational = Fraction
 
-# A combo is dict[K, Fraction] with no zero values, for totally ordered K.
+# A combo is dict[K, int | Fraction] with no zero values, for totally ordered K.
 Combo = dict
 
 
@@ -62,8 +65,12 @@ def combo_add(a: Combo, b: Combo) -> Combo:
 
 
 def combo_scale(a: Combo, c) -> Combo:
-    """Multiply every coefficient by c; the zero scalar empties the combo."""
-    c = Fraction(c)
+    """Multiply every coefficient by c; the zero scalar empties the combo.
+
+    An ``int`` scalar stays an ``int``; any other is coerced to Fraction.
+    """
+    if not isinstance(c, int):
+        c = Fraction(c)
     if not c:
         return {}
     return {key: coeff * c for key, coeff in a.items()}

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,10 +184,15 @@ def test_survey_g2_survivor_counts(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child does not inherit pytest's sys.path, so give it src/ itself.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "modiag", "verify", "--genus", "1", "--power", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "PASS"

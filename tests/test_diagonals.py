@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -54,15 +55,39 @@ def test_normalize_twist_length_mismatch():
         normalize_twist((1, 2), Ambient(1, 3))
 
 
+def test_normalize_twist_rejects_non_integer_entries():
+    amb = Ambient(1, 2)
+    for raw in ((2.5, 1), (2.0, 1), ("3", 1), (Fraction(2), 1)):
+        with pytest.raises(TypeError):
+            normalize_twist(raw, amb)
+
+
 @given(st.integers(1, 3), st.lists(st.integers(-9, 9), min_size=1, max_size=5))
 def test_normalize_twist_idempotent(g, raw):
     ambient = Ambient(g, len(raw))
     coeff, v = normalize_twist(tuple(raw), ambient)
+    assert type(coeff) is int
     if v is None:
         return
     again, w = normalize_twist(v, ambient)
     assert (again, w) == (1, v)
-    assert coeff == Fraction(max(1, __import__("math").gcd(*raw))) ** (2 * g)
+    assert type(again) is int
+    assert coeff == max(1, math.gcd(*raw)) ** (2 * g)
+
+
+def _fraction_normalize(raw, g):
+    """The Fraction-valued normalization the integer one replaced."""
+    entries = tuple(int(x) for x in raw)
+    if not any(entries):
+        return Fraction(1), None
+    d = math.gcd(*entries)
+    sign = 1 if next(x for x in entries if x) > 0 else -1
+    return Fraction(d) ** (2 * g), tuple((sign * x) // d for x in entries)
+
+
+@given(st.integers(1, 3), st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+def test_normalize_twist_matches_fraction_oracle(g, raw):
+    assert normalize_twist(raw, Ambient(g, len(raw))) == _fraction_normalize(raw, g)
 
 
 def test_cycle_constructor_normalizes_raw_vectors():
@@ -70,6 +95,11 @@ def test_cycle_constructor_normalizes_raw_vectors():
     assert cycle_equal(cycle(amb, {(2, 2): 1}), cycle_scale(twist_cycle(amb, (1, 1)), 4))
     amb2 = Ambient(2, 2)
     assert cycle_equal(cycle(amb2, {(2, 2): 1}), cycle_scale(twist_cycle(amb2, (1, 1)), 16))
+
+
+def test_twist_cycle_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        twist_cycle(Ambient(1, 2), ("3", 1))
 
 
 def test_cycle_constructor_rejects_zero_vector():
@@ -111,10 +141,33 @@ def test_modified_diagonal_m3():
 
 
 def test_modified_diagonal_term_count():
-    for m in range(1, 7):
+    for m in range(1, 8):
         md = modified_diagonal(Ambient(1, m))
         assert len(md.terms) == 2**m - 1
-        assert all(coeff in (1, -1) for coeff in md.terms.values())
+        for v, coeff in md.terms.items():
+            assert type(coeff) is int
+            assert coeff == (-1) ** (m - sum(v))
+
+
+def test_integer_pushforwards_match_fraction_oracle():
+    # The modified diagonal carries int coefficients; its copy built by
+    # cycle() carries Fractions.  Every pushforward must agree on both.
+    for g, m in itertools.product((1, 2), range(1, 8)):
+        amb = Ambient(g, m)
+        md = modified_diagonal(amb)
+        oracle = cycle(amb, md.terms)
+        assert all(type(c) is Fraction for c in oracle.terms.values())
+        for n in (n for n in range(-5, 6) if n):
+            got = mult_pushforward_all(md, n)
+            assert cycle_equal(got, mult_pushforward_all(oracle, n))
+            assert all(type(c) is int for c in got.terms.values())
+            for j in range(1, m + 1):
+                assert cycle_equal(
+                    mult_pushforward_factor(md, j, n),
+                    mult_pushforward_factor(oracle, j, n),
+                )
+        for j in range(1, m + 1) if m >= 2 else ():
+            assert cycle_equal(proj_pushforward(md, j), proj_pushforward(oracle, j))
 
 
 def test_mult_factor_examples():
@@ -159,6 +212,17 @@ def test_mult_all_scales_by_2g_power():
 def test_mult_all_rejects_zero():
     with pytest.raises(ValueError):
         mult_pushforward_all(twist_cycle(Ambient(1, 2), (1, 1)), 0)
+
+
+@pytest.mark.parametrize("n", [1.5, 0.5])
+def test_mult_all_rejects_non_integer_multiplier(n):
+    with pytest.raises(TypeError):
+        mult_pushforward_all(modified_diagonal(Ambient(1, 2)), n)
+
+
+def test_mult_factor_rejects_non_integer_multiplier():
+    with pytest.raises(TypeError):
+        mult_pushforward_factor(modified_diagonal(Ambient(1, 2)), 1, 1.5)
 
 
 def test_proj_examples():

@@ -32,6 +32,9 @@ def test_scale_examples():
     assert combo_scale(combo({(1,): 2}), Fraction(1, 2)) == {(1,): Fraction(1)}
     assert combo_scale(combo({(1,): 5}), 0) == {}
     assert combo_scale({}, 7) == {}
+    # an int scalar keeps int coefficients int; any other becomes a Fraction
+    assert [type(c) for c in combo_scale({(1,): -1}, 16).values()] == [int]
+    assert combo_scale({(1,): -1}, 0.5) == {(1,): Fraction(-1, 2)}
 
 
 def test_constructor_folds_duplicates_and_drops_zeros():

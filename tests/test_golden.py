@@ -1,8 +1,9 @@
 """Byte-identity of command-line output against files in tests/golden/.
 
 The files were written by the command line before the combination core and
-the survey were refactored, and the g=3 certificates before the cohomology
-shadow moved to its closed form; any change to certificate or survey bytes
+the survey were refactored, the g=3 certificates before the cohomology
+shadow moved to its closed form, and the (1,10) and (2,7) certificates
+before the formal layer moved to integer coefficients; any change to certificate or survey bytes
 must show up here.  Each file is the stdout of ``python -m modiag`` with the
 arguments listed for it in GOLDEN.
 """
@@ -25,6 +26,8 @@ GOLDEN = {
     **{f"verify-g1-m{m}.json": _verify(1, m) for m in range(1, 5)},
     **{f"verify-g2-m{m}.json": _verify(2, m) for m in range(1, 7)},
     **{f"verify-g3-m{m}.json": _verify(3, m) for m in range(1, 6)},
+    "verify-g1-m10.json": _verify(1, 10),
+    "verify-g2-m7.json": _verify(2, 7),
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
     "survey-g2-M5.txt": ("survey", "--genus", "2", "--power-max", "5"),
