@@ -19,7 +19,11 @@ certificate with one step per move:
   5. step 2 kills every profile containing an entry 2g, and the surviving
      profiles are counted: the complements to 2g of a surviving profile
      are all at least 1 yet sum to 2g, so survivors force m <= 2g, and for
-     m >= 2g+1 nothing is left;
+     m >= 2g+1 nothing is left.  The profiles are walked through their
+     complements, as the size-2g multisets of factor positions; a profile
+     survives when its multiset hits every factor.  The walk visits exactly
+     ``count_admissible(g, m, 2g(m-1))`` profiles, which ``enum_bound``
+     bounds, and keeps only the survivors;
   6. optionally, the exterior-algebra realization is computed as an
      independent shadow of the same conclusion.
 
@@ -32,7 +36,9 @@ identical for identical inputs.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator
 
@@ -144,6 +150,25 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
     weight of one factor); input order is preserved."""
     top = 2 * g
     return [d for d in degrees if top not in d]
+
+
+def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
+    """Walk the multidegrees of total 2g(m-1) and keep those with no entry 2g.
+
+    The complements 2g - i_j of such a multidegree are at least 0 and sum to
+    2g, so they are the multiplicities of a size-2g multiset of factor
+    positions, and an entry 2g is a factor the multiset misses.  Returns the
+    number of multidegrees walked and the survivors, in the lexicographic
+    order of ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``: sorted
+    multisets in lexicographic order have descending complement vectors.
+    """
+    top = 2 * g
+    survivors = []
+    for walked, positions in enumerate(combinations_with_replacement(range(m), top), 1):
+        # a sorted multiset that misses the last factor cannot hit them all
+        if positions[-1] == m - 1 and len(set(positions)) == m:
+            survivors.append(tuple(top - positions.count(j) for j in range(m)))
+    return walked, survivors
 
 
 @dataclass(frozen=True)
@@ -267,7 +292,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
 
 
 def _grading_steps(
-    g: int, m: int, survivors: list[MultiDegree] | None, enum_bound: int
+    g: int, m: int, walk: tuple[int, list[MultiDegree]] | None, enum_bound: int
 ) -> list[Step]:
     steps = [
         Step(
@@ -311,8 +336,9 @@ def _grading_steps(
     outcome = prove_empty_pigeonhole(g, m)
     admissible_count = count_admissible(g, m, nu)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    if survivors is not None:
-        consistent = len(survivors) == survivor_count
+    if walk is not None:
+        walked, survivors = walk
+        consistent = walked == admissible_count and len(survivors) == survivor_count
         if outcome.holds:
             consistent = consistent and not survivors
         else:
@@ -453,6 +479,17 @@ def _cohomology_step(
     )
 
 
+def _is_nonzero_integer(n) -> bool:
+    """True for a nonzero integer that is not a bool; floats, strings and
+    other non-integers are False."""
+    if isinstance(n, bool):
+        return False
+    try:
+        return operator.index(n) != 0
+    except TypeError:
+        return False
+
+
 def replay_proof(
     g: int,
     m: int,
@@ -477,25 +514,26 @@ def replay_proof(
     if unknown or not layer_set:
         raise ValueError(f"layers must be a nonempty subset of {LAYERS}")
     sample = tuple(mult_sample)
-    if not sample or any(n == 0 for n in sample):
+    if not sample or not all(map(_is_nonzero_integer, sample)):
         raise ValueError("the multiplication sample must be nonzero integers")
+    sample = tuple(map(operator.index, sample))
 
-    # The Kunneth survivors at weight 2g(m-1), enumerated once for both the
-    # grading step and the shadow's containment check; None when the
-    # enumeration is above enum_bound or no requested step reads it.
+    # The Kunneth survivors at weight 2g(m-1), walked once for both the
+    # grading step and the shadow's containment check; None when the walk
+    # is above enum_bound or no requested step reads it.
     nu = 2 * g * (m - 1)
-    survivors = None
+    walk = None
     shadow_reads = "cohomology" in layer_set and m <= 2 * g and graded_dimension(g, m) < max_dim
     if ("grading" in layer_set or shadow_reads) and count_admissible(g, m, nu) <= enum_bound:
-        survivors = filter_top(admissible_degrees(g, m, nu), g)
+        walk = _kunneth_survivors(g, m)
 
     steps: list[Step] = []
     if "formal" in layer_set:
         steps.extend(_formal_steps(g, m, sample))
     if "grading" in layer_set:
-        steps.extend(_grading_steps(g, m, survivors, enum_bound))
+        steps.extend(_grading_steps(g, m, walk, enum_bound))
     if "cohomology" in layer_set:
-        steps.append(_cohomology_step(g, m, survivors, max_dim))
+        steps.append(_cohomology_step(g, m, None if walk is None else walk[1], max_dim))
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)

@@ -15,7 +15,8 @@ from modiag import (
     replay_proof,
     weight_from_eigenvalue,
 )
-from modiag.grading import ASSUMED, FAIL, PASS, SKIPPED, STEP_KINDS
+from modiag import grading
+from modiag.grading import ASSUMED, FAIL, PASS, SKIPPED, STEP_KINDS, _kunneth_survivors
 
 
 def test_weight_examples():
@@ -101,6 +102,26 @@ def test_pigeonhole_agrees_with_enumeration():
                 assert out.counterexample == min(survivors)
             if m == 2 * g:
                 assert survivors == [(2 * g - 1,) * m]
+
+
+WALK_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 4)] + [(4, 8), (4, 9), (5, 10)]
+
+
+@pytest.mark.parametrize("g,m", WALK_CASES)
+def test_survivor_walk_matches_enumeration(g, m):
+    degrees = admissible_degrees(g, m, 2 * g * (m - 1))
+    walked, survivors = _kunneth_survivors(g, m)
+    assert survivors == filter_top(degrees, g)
+    assert walked == len(degrees)
+
+
+def test_survivor_count_cross_checks_the_walk(monkeypatch):
+    step = next(s for s in replay_proof(2, 3).steps if s.id == "kunneth-survivors")
+    assert (step.status, step.witness["matches_analytic"]) == (PASS, True)
+    exact = grading.count_admissible
+    monkeypatch.setattr(grading, "count_admissible", lambda g, m, nu: exact(g, m, nu) + 1)
+    step = next(s for s in replay_proof(2, 3).steps if s.id == "kunneth-survivors")
+    assert (step.status, step.witness["matches_analytic"]) == (FAIL, False)
 
 
 def test_replay_proof_passes_beyond_threshold():
@@ -228,3 +249,10 @@ def test_replay_proof_input_validation():
         replay_proof(1, 2, layers=())
     with pytest.raises(ValueError):
         replay_proof(1, 2, mult_sample=(2, 0))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"])
+@pytest.mark.parametrize("layers", [("formal", "grading"), ("grading",)])
+def test_replay_proof_rejects_non_integer_mult_sample(bad, layers):
+    with pytest.raises(ValueError, match="must be nonzero integers"):
+        replay_proof(1, 3, layers=layers, mult_sample=(2, bad))
