@@ -36,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    max_dim_help = "bound on C(2gm, 2g), the measure of the cohomology layer's work"
 
     verify = sub.add_parser("verify", help="replay the vanishing argument for one (g, m)")
     verify.add_argument("--genus", type=int, required=True, help="dimension g of the abelian variety (>= 1)")
@@ -52,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_DIM,
         dest="max_dim",
-        help="largest graded-piece dimension the cohomology layer may walk",
+        help=max_dim_help,
     )
 
     survey = sub.add_parser("survey", help="one row per m = 1..M summarizing every layer")
     survey.add_argument("--genus", type=int, required=True)
     survey.add_argument("--power-max", type=int, required=True, dest="power_max")
-    survey.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, dest="max_dim")
+    survey.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, dest="max_dim", help=max_dim_help)
     return parser
 
 

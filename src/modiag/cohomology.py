@@ -77,6 +77,7 @@ coefficient +-1 supported on the profiles (2g - |kappa^-1(j)|)_j.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -97,6 +98,9 @@ class LinearMap:
                        factor data[t-1].
     kind "scaling":    data gives one integer per factor, acting as
                        multiplication by that integer on its factor.
+
+    The constructors take integers only (``operator.index``), as do
+    ``class_of_twist`` and ``kunneth_component``.
     """
 
     kind: str
@@ -106,14 +110,15 @@ class LinearMap:
 
 
 def diagonal_map(v) -> LinearMap:
-    v = tuple(int(x) for x in v)
+    v = tuple(map(operator.index, v))
     if not v:
         raise ValueError("a diagonal map needs at least one target factor")
     return LinearMap("diagonal", 1, len(v), v)
 
 
 def projection_map(source_blocks: int, retained) -> LinearMap:
-    retained = tuple(int(j) for j in retained)
+    source_blocks = operator.index(source_blocks)
+    retained = tuple(map(operator.index, retained))
     if not retained:
         raise ValueError("a projection must retain at least one factor")
     if any(not 1 <= j <= source_blocks for j in retained):
@@ -125,6 +130,7 @@ def projection_map(source_blocks: int, retained) -> LinearMap:
 
 def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
     """The projection X^m -> X^(m-1) forgetting factor j."""
+    source_blocks, j = operator.index(source_blocks), operator.index(j)
     if source_blocks < 2:
         raise ValueError("cannot drop the only factor")
     if not 1 <= j <= source_blocks:
@@ -133,7 +139,7 @@ def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
 
 
 def scaling_map(factors) -> LinearMap:
-    factors = tuple(int(x) for x in factors)
+    factors = tuple(map(operator.index, factors))
     if not factors:
         raise ValueError("a scaling map needs at least one factor")
     return LinearMap("scaling", len(factors), len(factors), factors)
@@ -232,8 +238,8 @@ def integrate(c: ExtClass) -> Fraction:
     return c.terms.get(top, Fraction(0))
 
 
-def _degree_one_images(f: LinearMap, g: int):
-    """Target position -> (integer coefficient, source position).
+def _degree_one_images(f: LinearMap, g: int) -> list[tuple[int, int]]:
+    """The table target position -> (integer coefficient, source position).
 
     All three map kinds send each degree-one generator to an integer
     multiple of a single source generator, which is what keeps pullbacks
@@ -241,23 +247,15 @@ def _degree_one_images(f: LinearMap, g: int):
     """
     two_g = 2 * g
     if f.kind == "diagonal":
-        def image(pos: int) -> tuple[int, int]:
-            j, k = divmod(pos, two_g)
-            return f.data[j], k
-    elif f.kind == "projection":
-        def image(pos: int) -> tuple[int, int]:
-            j, k = divmod(pos, two_g)
-            return 1, (f.data[j] - 1) * two_g + k
-    elif f.kind == "scaling":
-        def image(pos: int) -> tuple[int, int]:
-            j, _ = divmod(pos, two_g)
-            return f.data[j], pos
-    else:
-        raise ValueError(f"unknown map kind {f.kind!r}")
-    return image
+        return [(v, k) for v in f.data for k in range(two_g)]
+    if f.kind == "projection":
+        return [(1, (j - 1) * two_g + k) for j in f.data for k in range(two_g)]
+    if f.kind == "scaling":
+        return [(n, j * two_g + k) for j, n in enumerate(f.data) for k in range(two_g)]
+    raise ValueError(f"unknown map kind {f.kind!r}")
 
 
-def _pull_monomial(image, mask: int) -> tuple[int, int]:
+def _pull_monomial(image: list[tuple[int, int]], mask: int) -> tuple[int, int]:
     """Pull one target monomial back to (integer coefficient, source mask).
 
     Walks the target positions in increasing order, so the Koszul sign is
@@ -269,7 +267,7 @@ def _pull_monomial(image, mask: int) -> tuple[int, int]:
     rest = mask
     while rest:
         low = rest & -rest
-        c, q = image(low.bit_length() - 1)
+        c, q = image[low.bit_length() - 1]
         if c == 0:
             return 0, 0
         bit = 1 << q
@@ -346,12 +344,12 @@ def class_of_twist(v, ambient: Ambient) -> ExtClass:
     """Realization of the twisted diagonal D(v): pushforward of 1 along the
     diagonal map of v.  Homogeneous of degree 2g(m-1); raw unnormalized
     vectors are fine and pick up the d^(2g) factor on their own."""
-    entries = tuple(int(x) for x in v)
-    if len(entries) != ambient.m:
-        raise ValueError(f"expected a vector of length {ambient.m}, got {len(entries)}")
-    if not any(entries):
+    f = diagonal_map(v)
+    if f.target_blocks != ambient.m:
+        raise ValueError(f"expected a vector of length {ambient.m}, got {f.target_blocks}")
+    if not any(f.data):
         raise ValueError("the zero vector does not name a twisted diagonal")
-    return pushforward(diagonal_map(entries), unit(Ambient(ambient.g, 1)))
+    return pushforward(f, unit(Ambient(ambient.g, 1)))
 
 
 def class_of_cycle(c: FormalCycle) -> ExtClass:
@@ -418,7 +416,7 @@ def block_profile(ambient: Ambient, mask: int) -> tuple[int, ...]:
 
 def kunneth_component(c: ExtClass, profile) -> ExtClass:
     """The part of c supported on monomials with the given block profile."""
-    profile = tuple(int(x) for x in profile)
+    profile = tuple(map(operator.index, profile))
     if len(profile) != c.ambient.m:
         raise ValueError(f"profile must have length {c.ambient.m}, got {len(profile)}")
     return ExtClass(

@@ -42,6 +42,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator
 
+from .cohomology import modified_diagonal_class, profile_support
 from .diagonals import (
     Ambient,
     cycle_equal,
@@ -89,14 +90,16 @@ SCHEMA_VERSION = "1"
 def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     """Total weight of a class whose mult(n) pushforward scales by n^w."""
     Ambient(g, m)  # rejects non-integers, bools and values below 1
+    w = operator.index(w)
     if not 0 <= w <= 2 * g * m:
         raise ValueError(f"eigen-exponent must lie in 0..{2 * g * m}, got {w}")
     return 2 * g * m - w
 
 
 def graded_dimension(g: int, m: int) -> int:
-    """Dimension C(2gm, 2g) of the graded piece the cohomology shadow walks
-    to realize one twisted diagonal on X^m; ``max_dim`` bounds this."""
+    """C(2gm, 2g), the measure by which ``max_dim`` bounds the cohomology
+    shadow.  It bounds the closed form soundly: the shadow expands one term
+    per map {1..2g} -> {1..m}, and m^(2g) <= C(2gm, 2g)."""
     return comb(2 * g * m, 2 * g)
 
 
@@ -219,24 +222,9 @@ class Certificate:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    payload = {
-        "schema_version": cert.schema_version,
-        "g": cert.g,
-        "m": cert.m,
-        "steps": [
-            {
-                "id": s.id,
-                "kind": s.kind,
-                "statement": s.statement,
-                "reference": s.reference,
-                "status": s.status,
-                "witness": s.witness,
-            }
-            for s in cert.steps
-        ],
-        "result": cert.result,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Deterministic JSON of the dataclass fields, whose declaration order is
+    the key order; ``vars`` reads them without copying the witnesses."""
+    return json.dumps(cert, default=vars, indent=2) + "\n"
 
 
 def certificate_to_text(cert: Certificate) -> str:
@@ -424,11 +412,8 @@ def _grading_steps(
 
 
 def _cohomology_step(
-    g: int, m: int, survivors: list[MultiDegree] | None, max_dim: int
+    g: int, m: int, survivors: list[MultiDegree] | None, dim: int, max_dim: int
 ) -> Step:
-    from .cohomology import modified_diagonal_class, profile_support
-
-    dim = graded_dimension(g, m)
     if dim >= max_dim:
         return Step(
             id="cohomology-shadow",
@@ -479,17 +464,6 @@ def _cohomology_step(
     )
 
 
-def _is_nonzero_integer(n) -> bool:
-    """True for a nonzero integer that is not a bool; floats, strings and
-    other non-integers are False."""
-    if isinstance(n, bool):
-        return False
-    try:
-        return operator.index(n) != 0
-    except TypeError:
-        return False
-
-
 def replay_proof(
     g: int,
     m: int,
@@ -513,17 +487,22 @@ def replay_proof(
     unknown = layer_set - set(LAYERS)
     if unknown or not layer_set:
         raise ValueError(f"layers must be a nonempty subset of {LAYERS}")
-    sample = tuple(mult_sample)
-    if not sample or not all(map(_is_nonzero_integer, sample)):
+    sample = []
+    for n in mult_sample:  # a bool or a non-integer enters as 0 and is rejected
+        try:
+            sample.append(0 if isinstance(n, bool) else operator.index(n))
+        except TypeError:
+            sample.append(0)
+    if not sample or 0 in sample:
         raise ValueError("the multiplication sample must be nonzero integers")
-    sample = tuple(map(operator.index, sample))
 
     # The Kunneth survivors at weight 2g(m-1), walked once for both the
     # grading step and the shadow's containment check; None when the walk
     # is above enum_bound or no requested step reads it.
     nu = 2 * g * (m - 1)
     walk = None
-    shadow_reads = "cohomology" in layer_set and m <= 2 * g and graded_dimension(g, m) < max_dim
+    dim = graded_dimension(g, m)
+    shadow_reads = "cohomology" in layer_set and m <= 2 * g and dim < max_dim
     if ("grading" in layer_set or shadow_reads) and count_admissible(g, m, nu) <= enum_bound:
         walk = _kunneth_survivors(g, m)
 
@@ -533,7 +512,7 @@ def replay_proof(
     if "grading" in layer_set:
         steps.extend(_grading_steps(g, m, walk, enum_bound))
     if "cohomology" in layer_set:
-        steps.append(_cohomology_step(g, m, None if walk is None else walk[1], max_dim))
+        steps.append(_cohomology_step(g, m, None if walk is None else walk[1], dim, max_dim))
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)

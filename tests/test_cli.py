@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from modiag import cli
 from modiag.cli import main
 
 
@@ -201,3 +203,19 @@ def test_module_entry_point_runs():
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_cli_imports_no_private_name_and_no_lower_layer():
+    """The command line only renders replay_proof certificates: it imports no
+    underscore name and nothing from diagonals, cohomology or exact."""
+    lower = {"diagonals", "cohomology", "exact"}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        names = [] if isinstance(node, ast.Import) else [a.name for a in node.names]
+        for module in modules:
+            assert not lower & set(module.split(".")), module
+        for name in names:
+            assert not name.startswith("_") and name not in lower, name

@@ -256,6 +256,28 @@ def test_block_profile_and_kunneth_component():
         kunneth_component(c, (1, 1, 0))
 
 
+NON_INTEGERS = [2.5, 2.0, "3"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: diagonal_map((1, bad)),
+        lambda bad: projection_map(3, (1, bad)),
+        lambda bad: projection_map(bad, (1, 2)),
+        lambda bad: drop_factor_map(3, bad),
+        lambda bad: drop_factor_map(bad, 2),
+        lambda bad: scaling_map((2, bad)),
+        lambda bad: class_of_twist((bad, 1), E2),
+        lambda bad: kunneth_component(diagonal_class_g1(), (bad, 1)),
+    ],
+)
+def test_map_data_and_profiles_must_be_integers(build, bad):
+    with pytest.raises(TypeError):
+        build(bad)
+
+
 def test_kunneth_components_sum_back():
     rng = random.Random(9)
     for _ in range(20):

@@ -6,15 +6,22 @@ shadow moved to its closed form, the (1,10) and (2,7) certificates before
 the formal layer moved to integer coefficients, and the formal and grading
 certificates at (4,8), (4,9), (5,10) and (5,11) before the Kunneth
 survivors were walked as complement multisets; any change to certificate or
-survey bytes must show up here.  Each file is the stdout of
-``python -m modiag`` with the arguments listed for it in GOLDEN.
+survey bytes must show up here.  Each file in GOLDEN is the stdout of
+``python -m modiag`` with the arguments listed for it.  Each file in
+LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
+keyword arguments listed for it; it was written before certificates were
+serialized from their dataclasses, and it pins a certificate whose
+``kunneth-survivors`` and ``cohomology-shadow`` steps are both SKIPPED, which
+the command line cannot reach.
 """
 
 from pathlib import Path
 
 import pytest
 
+from modiag import certificate_to_json, replay_proof
 from modiag.cli import main
+from modiag.grading import LAYERS
 
 HERE = Path(__file__).resolve().parent / "golden"
 ALL_LAYERS = "formal,grading,cohomology"
@@ -43,12 +50,24 @@ GOLDEN = {
     "survey-g1-M3-maxdim1.txt": ("survey", "--genus", "1", "--power-max", "3", "--max-dim", "1"),
 }
 
+LIBRARY_GOLDEN = {
+    "replay-g1-m3-skipped.json": dict(g=1, m=3, layers=LAYERS, enum_bound=1, max_dim=5),
+}
+
 
 def test_every_golden_file_is_listed():
-    assert sorted(p.name for p in HERE.iterdir()) == sorted(GOLDEN)
+    assert sorted(p.name for p in HERE.iterdir()) == sorted({**GOLDEN, **LIBRARY_GOLDEN})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_bytes(name, capsys):
     assert main(list(GOLDEN[name])) == 0
     assert capsys.readouterr().out.encode("utf-8") == (HERE / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_GOLDEN))
+def test_certificate_matches_golden_bytes(name):
+    cert = replay_proof(**LIBRARY_GOLDEN[name])
+    statuses = {s.id: s.status for s in cert.steps}
+    assert statuses["kunneth-survivors"] == statuses["cohomology-shadow"] == "SKIPPED"
+    assert certificate_to_json(cert).encode("utf-8") == (HERE / name).read_bytes()

@@ -32,6 +32,12 @@ def test_weight_errors():
         weight_from_eigenvalue(1, 2, 5)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+def test_weight_rejects_non_integer_exponent(bad):
+    with pytest.raises(TypeError):
+        weight_from_eigenvalue(1, 2, bad)
+
+
 @given(st.integers(1, 4), st.integers(1, 6), st.data())
 def test_weight_inverts_exponent(g, m, data):
     w = data.draw(st.integers(0, 2 * g * m))
