@@ -77,13 +77,12 @@ coefficient +-1 supported on the profiles (2g - |kappa^-1(j)|)_j.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .diagonals import Ambient, FormalCycle, _common_ambient
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient
 from .exact import _add_term, combo, combo_add, combo_scale, render_terms
 
 
@@ -99,8 +98,9 @@ class LinearMap:
     kind "scaling":    data gives one integer per factor, acting as
                        multiplication by that integer on its factor.
 
-    The constructors take integers only (``operator.index``), as do
-    ``class_of_twist`` and ``kunneth_component``.
+    The constructors take integers only (``operator.index``, and no
+    ``bool``), as do ``class_of_twist``, ``kunneth_component`` and
+    ``gen_position``.
     """
 
     kind: str
@@ -110,15 +110,15 @@ class LinearMap:
 
 
 def diagonal_map(v) -> LinearMap:
-    v = tuple(map(operator.index, v))
+    v = _as_ints(v)
     if not v:
         raise ValueError("a diagonal map needs at least one target factor")
     return LinearMap("diagonal", 1, len(v), v)
 
 
 def projection_map(source_blocks: int, retained) -> LinearMap:
-    source_blocks = operator.index(source_blocks)
-    retained = tuple(map(operator.index, retained))
+    source_blocks = _as_int(source_blocks)
+    retained = _as_ints(retained)
     if not retained:
         raise ValueError("a projection must retain at least one factor")
     if any(not 1 <= j <= source_blocks for j in retained):
@@ -130,7 +130,7 @@ def projection_map(source_blocks: int, retained) -> LinearMap:
 
 def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
     """The projection X^m -> X^(m-1) forgetting factor j."""
-    source_blocks, j = operator.index(source_blocks), operator.index(j)
+    source_blocks, j = _as_ints((source_blocks, j))
     if source_blocks < 2:
         raise ValueError("cannot drop the only factor")
     if not 1 <= j <= source_blocks:
@@ -139,7 +139,7 @@ def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
 
 
 def scaling_map(factors) -> LinearMap:
-    factors = tuple(map(operator.index, factors))
+    factors = _as_ints(factors)
     if not factors:
         raise ValueError("a scaling map needs at least one factor")
     return LinearMap("scaling", len(factors), len(factors), factors)
@@ -179,6 +179,7 @@ def unit(ambient: Ambient) -> ExtClass:
 
 
 def gen_position(ambient: Ambient, block: int, index: int) -> int:
+    block, index = _as_ints((block, index))
     if not 1 <= block <= ambient.m:
         raise ValueError(f"block must lie in 1..{ambient.m}, got {block!r}")
     if not 1 <= index <= 2 * ambient.g:
@@ -416,7 +417,7 @@ def block_profile(ambient: Ambient, mask: int) -> tuple[int, ...]:
 
 def kunneth_component(c: ExtClass, profile) -> ExtClass:
     """The part of c supported on monomials with the given block profile."""
-    profile = tuple(map(operator.index, profile))
+    profile = _as_ints(profile)
     if len(profile) != c.ambient.m:
         raise ValueError(f"profile must have length {c.ambient.m}, got {len(profile)}")
     return ExtClass(

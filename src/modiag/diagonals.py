@@ -23,6 +23,40 @@ first nonzero entry is positive.  A vector that rescales to zero inside a
 pushforward collapses onto the zero section, a point; its class is zero
 because g >= 1 kills positive-dimensional classes pushed to a point.
 
+Orbit sums.  Permuting the factors of X^m permutes the indicator
+diagonals D(1_I), I a subset of {1..m}, and keeps |I|.  Write O_k for the
+sum of D(1_I) over the C(m, k) sets with |I| = k; the modified diagonal is
+Gamma(m) = sum over k of (-1)^(m-k) O_k.  An OrbitCycle stores a
+combination sum_k a_k O_k by its m+1 coefficients a_0..a_m, and both
+identities the certificate checks fold over them:
+
+  mult rule         multiplication by n on every factor commutes with every
+                    permutation of the factors, so if it sends the
+                    representative D(1_{1..k}) to n^(2g) D(1_{1..k}), it
+                    sends every D(1_I) with |I| = k, and so O_k, to n^(2g)
+                    times itself.  Pushing the m representatives forward
+                    with the gcd and sign rules therefore checks the whole
+                    orbit sum.  Their images have distinct support sizes, so
+                    no two fold together and an equality of the
+                    representative cycles is an equality per orbit.
+  contraction rule  forgetting factor j sends D(1_I) to the indicator
+                    diagonal of I minus j on X^(m-1).  A set J of size k
+                    among the other m-1 factors is hit exactly twice: by
+                    I = J, which misses j, and by I = J plus j.  So O_k on
+                    m factors goes to O_k + O_(k-1) on m-1 factors, and
+                    sum_k a_k O_k goes to sum_k (a_k + a_(k+1)) O_k.  Two
+                    ends fall away.  The target O_0 is D(0): the singleton
+                    {j} contracts onto the zero section, a point, and dies
+                    because g >= 1.  The source O_m has no image among the
+                    sets without j, as its one set contains j; on m-1
+                    factors there is no set of size m.  For Gamma(m),
+                    a_k + a_(k+1) = 0 for every k >= 1, so every
+                    contraction vanishes.
+
+The source O_0 would be the point D(0) itself, which names no twisted
+diagonal, so a_0 is always 0.  The tuple calculus on 2^m vectors stays the
+oracle these rules are tested against.
+
 Soundness is asymmetric.  Every rewrite above is an identity in the
 rational Chow group, so a formal result of zero proves vanishing there.  A
 formal nonzero result proves nothing: this calculus does not claim the
@@ -37,6 +71,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .exact import _add_term, combo_add, combo_scale, combo_sorted_items, render_terms
@@ -55,6 +90,23 @@ class Ambient:
         for name, value in (("g", self.g), ("m", self.m)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _as_ints(values) -> tuple[int, ...]:
+    """The package's one integer rule: ``operator.index``, and no ``bool``.
+
+    Floats, strings and Fractions raise TypeError from ``operator.index``;
+    a bool raises TypeError here, as ``Ambient`` and ``replay_proof`` refuse
+    it too.
+    """
+    values = tuple(values)
+    if bool in map(type, values):
+        raise TypeError(f"expected integers, got a bool in {values!r}")
+    return tuple(map(operator.index, values))
+
+
+def _as_int(value) -> int:
+    return _as_ints((value,))[0]
 
 
 def _common_ambient(a, b) -> Ambient:
@@ -90,10 +142,10 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     v is raw/d with the sign flipped if needed so its first nonzero entry is
     positive; an already canonical vector comes back as (1, raw entries).
     The zero vector returns (1, None): its class collapses onto a point and
-    contributes nothing.  Entries must be integers (``operator.index``):
+    contributes nothing.  Entries must be integers (``_as_ints``): bools,
     floats, strings and Fractions raise TypeError.
     """
-    entries = tuple(map(operator.index, raw))
+    entries = _as_ints(raw)
     if len(entries) != ambient.m:
         raise ValueError(
             f"expected a vector of length {ambient.m}, got {len(entries)}"
@@ -153,9 +205,13 @@ def modified_diagonal(ambient: Ambient) -> FormalCycle:
     return FormalCycle(ambient, terms)
 
 
-def _require_factor(ambient: Ambient, j: int) -> None:
-    if not isinstance(j, int) or not 1 <= j <= ambient.m:
+def _require_factor(ambient: Ambient, j) -> int:
+    """j as an int: an integer (``_as_int``, else TypeError) in 1..m (else
+    IndexError)."""
+    index = _as_int(j)
+    if not 1 <= index <= ambient.m:
         raise IndexError(f"factor index must lie in 1..{ambient.m}, got {j!r}")
+    return index
 
 
 def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
@@ -164,10 +220,10 @@ def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     Entry j of each vector is scaled by n and the result renormalized.  A
     term whose vector becomes zero (only possible when n = 0 and the vector
     was supported on factor j alone) collapses onto a point and is dropped.
-    n must be an integer; a float, string or Fraction raises TypeError.
+    n must be an integer; a bool, float, string or Fraction raises TypeError.
     """
-    _require_factor(c.ambient, j)
-    n = operator.index(n)
+    j = _require_factor(c.ambient, j)
+    n = _as_int(n)
     out: dict = {}
     for v, coeff in c.terms.items():
         raw = list(v)
@@ -184,10 +240,10 @@ def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
 
     Requires n != 0; n = 0 collapses all of X^m onto the zero section and
     is out of scope.  Each term rescales by exactly n^(2g), which the gcd
-    and sign rules recover term by term.  n must be an integer; a float,
-    string or Fraction raises TypeError.
+    and sign rules recover term by term.  n must be an integer; a bool,
+    float, string or Fraction raises TypeError.
     """
-    n = operator.index(n)
+    n = _as_int(n)
     if n == 0:
         raise ValueError("n = 0 collapses the whole product; rejected")
     out: dict = {}
@@ -208,7 +264,7 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
     amb = c.ambient
     if amb.m < 2:
         raise ValueError("cannot contract the only factor")
-    _require_factor(amb, j)
+    j = _require_factor(amb, j)
     target = Ambient(amb.g, amb.m - 1)
     out: dict = {}
     for v, coeff in c.terms.items():
@@ -217,6 +273,88 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
             continue
         _add_term(out, w, coeff * extra)
     return FormalCycle(target, out)
+
+
+@dataclass(frozen=True)
+class OrbitCycle:
+    """The combination sum_k coeffs[k] * O_k on X^m, k = 0..m, where O_k is
+    the sum of the indicator diagonals D(1_I) with |I| = k.
+
+    Coefficients are exact rationals, ``int`` for the modified diagonal.
+    coeffs[0] must be 0: O_0 would be the point D(0), no twisted diagonal.
+    """
+
+    ambient: Ambient
+    coeffs: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) != self.ambient.m + 1:
+            raise ValueError(
+                f"expected {self.ambient.m + 1} orbit coefficients, got {len(self.coeffs)}"
+            )
+        if self.coeffs[0]:
+            raise ValueError("O_0 is a point, not a twisted diagonal; coeffs[0] must be 0")
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def modified_diagonal_orbits(ambient: Ambient) -> OrbitCycle:
+    """The modified diagonal as orbit sums: O_k enters with (-1)^(m-k)."""
+    m = ambient.m
+    return OrbitCycle(ambient, (0,) + tuple(-1 if (m - k) & 1 else 1 for k in range(1, m + 1)))
+
+
+def orbit_representatives(c: OrbitCycle) -> FormalCycle:
+    """One twisted diagonal per orbit: coeffs[k] * D(1, .., 1, 0, .., 0) with
+    k ones, for each k >= 1 with a nonzero coefficient.
+
+    Every operation on all factors at once commutes with permuting them, so
+    it acts on each orbit as on its representative (module docstring).
+    """
+    m = c.ambient.m
+    return FormalCycle(
+        c.ambient,
+        {(1,) * k + (0,) * (m - k): a for k, a in enumerate(c.coeffs) if a},
+    )
+
+
+@lru_cache(maxsize=8)
+def _orbit_scales(target: Ambient) -> tuple[int | None, ...]:
+    """Normalize the representative of each orbit O_k on the target, once per
+    k: its gcd factor, or None where it collapses onto a point (k = 0)."""
+    m = target.m
+    scales = []
+    for k in range(m + 1):
+        scale, v = normalize_twist((1,) * k + (0,) * (m - k), target)
+        scales.append(None if v is None else scale)
+    return tuple(scales)
+
+
+def orbit_proj_pushforward(c: OrbitCycle, j: int) -> OrbitCycle:
+    """Pushforward of an orbit sum along the projection forgetting factor j.
+
+    O_k goes to O_k + O_(k-1) on m-1 factors: the sets of size k without j
+    keep their size and those with j lose it (module docstring).  The
+    target O_0 is a point and dies, and the source O_m has no image among
+    the sets without j.  The O(m) fold is the same for every j, and each
+    target representative is normalized once per ambient, not once per j.
+    Requires m >= 2, as ``proj_pushforward`` does.
+    """
+    amb = c.ambient
+    if amb.m < 2:
+        raise ValueError("cannot contract the only factor")
+    _require_factor(amb, j)
+    target = Ambient(amb.g, amb.m - 1)
+    scales = _orbit_scales(target)
+    a = c.coeffs
+    out = [0] * amb.m
+    for k, scale in enumerate(scales):
+        if scale is not None:
+            # I = J misses j (size k); I = J plus j has size k + 1
+            out[k] = (a[k] + a[k + 1]) * scale
+    return OrbitCycle(target, tuple(out))
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

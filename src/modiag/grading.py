@@ -11,8 +11,12 @@ The vanishing argument for the modified diagonal is replayed as a
 certificate with one step per move:
 
   1. its multiplication pushforward scales by n^(2g), checked exactly by
-     the diagonal calculus on a sample of n;
-  2. contracting any factor kills it, checked exactly;
+     the diagonal calculus on a sample of n.  The check runs on orbit sums
+     (``diagonals`` docstring): the m representatives D(1_{1..k}) are
+     pushed forward with the gcd and sign rules, in place of all 2^m - 1
+     twisted diagonals;
+  2. contracting any factor kills it, checked exactly for each factor j by
+     folding the m+1 orbit coefficients, O_k -> O_k + O_(k-1);
   3. the decomposition above is imported as an explicit axiom, never
      silently;
   4. step 1 pins the class to total weight 2g(m-1);
@@ -36,7 +40,6 @@ identical for identical inputs.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -45,11 +48,13 @@ from typing import Iterable, Iterator
 from .cohomology import modified_diagonal_class, profile_support
 from .diagonals import (
     Ambient,
+    _as_int,
     cycle_equal,
     cycle_scale,
-    modified_diagonal,
+    modified_diagonal_orbits,
     mult_pushforward_all,
-    proj_pushforward,
+    orbit_proj_pushforward,
+    orbit_representatives,
 )
 
 MultiDegree = tuple[int, ...]
@@ -90,7 +95,7 @@ SCHEMA_VERSION = "1"
 def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     """Total weight of a class whose mult(n) pushforward scales by n^w."""
     Ambient(g, m)  # rejects non-integers, bools and values below 1
-    w = operator.index(w)
+    w = _as_int(w)
     if not 0 <= w <= 2 * g * m:
         raise ValueError(f"eigen-exponent must lie in 0..{2 * g * m}, got {w}")
     return 2 * g * m - w
@@ -236,16 +241,16 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
-    amb = Ambient(g, m)
-    md = modified_diagonal(amb)
+    orbits = modified_diagonal_orbits(Ambient(g, m))
+    reps = orbit_representatives(orbits)
     checks = []
     for n in mult_sample:
-        expected = cycle_scale(md, n ** (2 * g))
+        expected = cycle_scale(reps, n ** (2 * g))
         checks.append(
             {
                 "n": n,
                 "factor": n ** (2 * g),
-                "verified": cycle_equal(mult_pushforward_all(md, n), expected),
+                "verified": cycle_equal(mult_pushforward_all(reps, n), expected),
             }
         )
     mult_step = Step(
@@ -262,7 +267,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
     contractions = []
     for j in range(1, m + 1) if m >= 2 else []:
         contractions.append(
-            {"j": j, "vanishes": proj_pushforward(md, j).is_zero}
+            {"j": j, "vanishes": orbit_proj_pushforward(orbits, j).is_zero}
         )
     if m >= 2:
         statement = f"contracting any one of the {m} factors kills the modified diagonal"
@@ -490,7 +495,7 @@ def replay_proof(
     sample = []
     for n in mult_sample:  # a bool or a non-integer enters as 0 and is rejected
         try:
-            sample.append(0 if isinstance(n, bool) else operator.index(n))
+            sample.append(_as_int(n))
         except TypeError:
             sample.append(0)
     if not sample or 0 in sample:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check.  Admissible
 multidegrees are re-derived by filtering a full cartesian product, and
 pushforwards are checked against the adjunction that defines them, using
-only wedge, integrate and pullback.
+only wedge, integrate and pullback.  Orbit sums are expanded back into
+all 2^m indicator diagonals and built through ``cycle``.
 """
 
 from __future__ import annotations
@@ -95,3 +96,15 @@ def random_homogeneous(rng: random.Random, ambient: Ambient, degree: int, max_te
             mask |= 1 << p
         terms[mask] = random_fraction(rng)
     return ext_class(ambient, terms)
+
+
+def expand_orbits(c):
+    """sum_k c.coeffs[k] * O_k written out over every nonempty subset I of
+    the factors, the tuple form the orbit rules replace."""
+    m = c.ambient.m
+    terms = []
+    for bits in range(1, 1 << m):
+        coeff = c.coeffs[bits.bit_count()]
+        if coeff:
+            terms.append((tuple((bits >> i) & 1 for i in range(m)), coeff))
+    return cycle(c.ambient, terms)

@@ -22,6 +22,7 @@ from modiag import (
     ext_class,
     ext_scale,
     filter_top,
+    gen_position,
     generator,
     integrate,
     kunneth_component,
@@ -256,7 +257,7 @@ def test_block_profile_and_kunneth_component():
         kunneth_component(c, (1, 1, 0))
 
 
-NON_INTEGERS = [2.5, 2.0, "3"]
+NON_INTEGERS = [2.5, 2.0, "3", True]
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS)
@@ -271,6 +272,10 @@ NON_INTEGERS = [2.5, 2.0, "3"]
         lambda bad: scaling_map((2, bad)),
         lambda bad: class_of_twist((bad, 1), E2),
         lambda bad: kunneth_component(diagonal_class_g1(), (bad, 1)),
+        lambda bad: gen_position(E2, bad, 1),
+        lambda bad: gen_position(E2, 1, bad),
+        lambda bad: generator(E2, 1, bad),
+        lambda bad: monomial_mask(E2, [(bad, 2)]),
     ],
 )
 def test_map_data_and_profiles_must_be_integers(build, bad):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import modiag.diagonals
-from helpers import random_cycle
+from helpers import expand_orbits, random_cycle
 from modiag import (
     Ambient,
     cycle,
@@ -23,6 +23,13 @@ from modiag import (
     render_cycle,
     twist_cycle,
     zero_cycle,
+)
+from modiag import grading, replay_proof
+from modiag.diagonals import (
+    OrbitCycle,
+    modified_diagonal_orbits,
+    orbit_proj_pushforward,
+    orbit_representatives,
 )
 
 
@@ -57,7 +64,7 @@ def test_normalize_twist_length_mismatch():
 
 def test_normalize_twist_rejects_non_integer_entries():
     amb = Ambient(1, 2)
-    for raw in ((2.5, 1), (2.0, 1), ("3", 1), (Fraction(2), 1)):
+    for raw in ((2.5, 1), (2.0, 1), ("3", 1), (Fraction(2), 1), (True, 1)):
         with pytest.raises(TypeError):
             normalize_twist(raw, amb)
 
@@ -98,8 +105,9 @@ def test_cycle_constructor_normalizes_raw_vectors():
 
 
 def test_twist_cycle_rejects_non_integer_entries():
-    with pytest.raises(TypeError):
-        twist_cycle(Ambient(1, 2), ("3", 1))
+    for raw in (("3", 1), (True, 1)):
+        with pytest.raises(TypeError):
+            twist_cycle(Ambient(1, 2), raw)
 
 
 def test_cycle_constructor_rejects_zero_vector():
@@ -214,15 +222,17 @@ def test_mult_all_rejects_zero():
         mult_pushforward_all(twist_cycle(Ambient(1, 2), (1, 1)), 0)
 
 
-@pytest.mark.parametrize("n", [1.5, 0.5])
+@pytest.mark.parametrize("n", [1.5, 0.5, True])
 def test_mult_all_rejects_non_integer_multiplier(n):
     with pytest.raises(TypeError):
         mult_pushforward_all(modified_diagonal(Ambient(1, 2)), n)
 
 
 def test_mult_factor_rejects_non_integer_multiplier():
-    with pytest.raises(TypeError):
-        mult_pushforward_factor(modified_diagonal(Ambient(1, 2)), 1, 1.5)
+    md = modified_diagonal(Ambient(1, 2))
+    for j, n in ((1, 1.5), (1, True), (True, 2)):
+        with pytest.raises(TypeError):
+            mult_pushforward_factor(md, j, n)
 
 
 def test_proj_examples():
@@ -243,6 +253,9 @@ def test_proj_errors():
         proj_pushforward(twist_cycle(Ambient(1, 1), (1,)), 1)
     with pytest.raises(IndexError):
         proj_pushforward(twist_cycle(Ambient(1, 2), (1, 1)), 3)
+    for j in (True, 1.0):
+        with pytest.raises(TypeError):
+            proj_pushforward(twist_cycle(Ambient(1, 2), (1, 1)), j)
 
 
 def test_cycle_equal_ambient_mismatch():
@@ -301,3 +314,113 @@ def test_soundness_asymmetry_documented():
     doc = modiag.diagonals.__doc__
     assert "formal result of zero proves vanishing" in doc
     assert "formal nonzero result proves nothing" in doc.lower()
+
+
+NONZERO_N = tuple(n for n in range(-5, 6) if n)
+
+
+def _scaled(c: OrbitCycle, factor: int) -> OrbitCycle:
+    return OrbitCycle(c.ambient, tuple(factor * a for a in c.coeffs))
+
+
+def test_modified_diagonal_orbits_expand_to_the_modified_diagonal():
+    for g, m in itertools.product((1, 2), range(1, 13)):
+        amb = Ambient(g, m)
+        assert cycle_equal(expand_orbits(modified_diagonal_orbits(amb)), modified_diagonal(amb))
+
+
+def test_orbit_path_agrees_with_the_tuple_calculus():
+    # The certificate's formal witnesses, computed on orbit sums, against the
+    # same checks run on all 2^m - 1 twisted diagonals (md is the expansion
+    # of the orbits, test above).
+    for g, m in itertools.product((1, 2), range(1, 13)):
+        amb = Ambient(g, m)
+        md = modified_diagonal(amb)
+        orbits = modified_diagonal_orbits(amb)
+        cert = replay_proof(g, m, layers=("formal",), mult_sample=NONZERO_N)
+        mult, contraction = cert.steps
+        for check in mult.witness["checks"]:
+            n = check["n"]
+            expected = cycle_scale(md, n ** (2 * g))
+            assert check["verified"] is cycle_equal(mult_pushforward_all(md, n), expected) is True
+        assert [c["j"] for c in contraction.witness["checks"]] == list(range(1, m + 1) if m >= 2 else [])
+        for check in contraction.witness["checks"]:
+            j = check["j"]
+            contracted = proj_pushforward(md, j)
+            assert check["vanishes"] is contracted.is_zero is True
+            assert cycle_equal(contracted, expand_orbits(orbit_proj_pushforward(orbits, j)))
+
+
+@st.composite
+def orbit_cycles(draw):
+    g = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 7))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    return OrbitCycle(Ambient(g, m), (0, *coeffs))
+
+
+@given(orbit_cycles(), st.data())
+def test_orbit_contraction_matches_the_expanded_pushforward(c, data):
+    j = data.draw(st.integers(1, c.ambient.m))
+    got = orbit_proj_pushforward(c, j)
+    assert got.ambient == Ambient(c.ambient.g, c.ambient.m - 1)
+    assert cycle_equal(proj_pushforward(expand_orbits(c), j), expand_orbits(got))
+
+
+@given(orbit_cycles(), st.sampled_from(NONZERO_N))
+def test_orbit_representatives_carry_the_mult_identity(c, n):
+    factor = n ** (2 * c.ambient.g)
+    reps = orbit_representatives(c)
+    assert len(reps.terms) == sum(1 for a in c.coeffs if a)
+    assert cycle_equal(mult_pushforward_all(reps, n), orbit_representatives(_scaled(c, factor)))
+    assert cycle_equal(mult_pushforward_all(expand_orbits(c), n), expand_orbits(_scaled(c, factor)))
+
+
+def test_orbit_contraction_of_a_single_orbit():
+    # O_k goes to O_k + O_(k-1); O_1 leaves O_1 and a point, which dies.
+    amb = Ambient(1, 4)
+    o1 = OrbitCycle(amb, (0, 1, 0, 0, 0))
+    assert orbit_proj_pushforward(o1, 2).coeffs == (0, 1, 0, 0)
+    o4 = OrbitCycle(amb, (0, 0, 0, 0, 1))
+    assert orbit_proj_pushforward(o4, 4).coeffs == (0, 0, 0, 1)
+
+
+def test_contraction_witness_is_computed_from_the_orbits(monkeypatch):
+    # O_1 alone does not alternate, so no contraction kills it.
+    monkeypatch.setattr(
+        grading,
+        "modified_diagonal_orbits",
+        lambda amb: OrbitCycle(amb, (0, 1) + (0,) * (amb.m - 1)),
+    )
+    cert = replay_proof(1, 5, layers=("formal",))
+    contraction = cert.steps[1]
+    assert [c["vanishes"] for c in contraction.witness["checks"]] == [False] * 5
+    assert (contraction.status, cert.result) == ("FAIL", "FAIL")
+
+
+def test_mult_witness_is_computed_from_the_representatives(monkeypatch):
+    monkeypatch.setattr(grading, "mult_pushforward_all", lambda c, n: c)
+    cert = replay_proof(1, 4, layers=("formal",), mult_sample=(1, 2))
+    assert [c["verified"] for c in cert.steps[0].witness["checks"]] == [True, False]
+
+
+@pytest.mark.parametrize("m", [20, 200])
+def test_formal_layer_passes_at_large_m(m):
+    cert = replay_proof(1, m, layers=("formal",))
+    assert cert.result == "PASS"
+    assert len(cert.steps[1].witness["checks"]) == m
+
+
+def test_orbit_cycle_validation():
+    amb = Ambient(1, 3)
+    with pytest.raises(ValueError):
+        OrbitCycle(amb, (0, 1, 1))
+    with pytest.raises(ValueError):
+        OrbitCycle(amb, (1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        orbit_proj_pushforward(modified_diagonal_orbits(Ambient(1, 1)), 1)
+    with pytest.raises(IndexError):
+        orbit_proj_pushforward(modified_diagonal_orbits(amb), 4)
+    with pytest.raises(TypeError):
+        orbit_proj_pushforward(modified_diagonal_orbits(amb), True)
+

@@ -5,14 +5,17 @@ the survey were refactored, the g=3 certificates before the cohomology
 shadow moved to its closed form, the (1,10) and (2,7) certificates before
 the formal layer moved to integer coefficients, and the formal and grading
 certificates at (4,8), (4,9), (5,10) and (5,11) before the Kunneth
-survivors were walked as complement multisets; any change to certificate or
-survey bytes must show up here.  Each file in GOLDEN is the stdout of
+survivors were walked as complement multisets, and the formal and grading
+certificates at (1,16) and (1,18) before the formal identities were checked
+on orbit sums; any change to certificate or survey bytes must show up here.  Each file in GOLDEN is the stdout of
 ``python -m modiag`` with the arguments listed for it.  Each file in
 LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
-keyword arguments listed for it; it was written before certificates were
-serialized from their dataclasses, and it pins a certificate whose
-``kunneth-survivors`` and ``cohomology-shadow`` steps are both SKIPPED, which
-the command line cannot reach.
+keyword arguments listed for it, pinning what the command line cannot
+reach.  The (1,3) file was written before certificates were serialized
+from their dataclasses; its ``kunneth-survivors`` and ``cohomology-shadow``
+steps are both SKIPPED.  The (2,7) file was written before the orbit-sum
+formal checks; its sample holds n = -1 and 1, where the sign rule and the
+canonical-vector return of ``normalize_twist`` meet.
 """
 
 from pathlib import Path
@@ -36,6 +39,7 @@ GOLDEN = {
     **{f"verify-g2-m{m}.json": _verify(2, m) for m in range(1, 7)},
     **{f"verify-g3-m{m}.json": _verify(3, m) for m in range(1, 6)},
     "verify-g1-m10.json": _verify(1, 10),
+    **{f"verify-g1-m{m}.json": _verify(1, m, layers="formal,grading") for m in (16, 18)},
     "verify-g2-m7.json": _verify(2, 7),
     # The boundary pairs: both pigeonhole outcomes and the survivor witness.
     # The shadow's graded dimension is above the default bound there, and
@@ -52,6 +56,9 @@ GOLDEN = {
 
 LIBRARY_GOLDEN = {
     "replay-g1-m3-skipped.json": dict(g=1, m=3, layers=LAYERS, enum_bound=1, max_dim=5),
+    "replay-g2-m7-formal-unit-sample.json": dict(
+        g=2, m=7, layers=("formal",), mult_sample=(-1, 1, 5, -4)
+    ),
 }
 
 
@@ -68,6 +75,10 @@ def test_output_matches_golden_bytes(name, capsys):
 @pytest.mark.parametrize("name", sorted(LIBRARY_GOLDEN))
 def test_certificate_matches_golden_bytes(name):
     cert = replay_proof(**LIBRARY_GOLDEN[name])
+    assert certificate_to_json(cert).encode("utf-8") == (HERE / name).read_bytes()
+
+
+def test_skipped_golden_skips_both_bounded_steps():
+    cert = replay_proof(**LIBRARY_GOLDEN["replay-g1-m3-skipped.json"])
     statuses = {s.id: s.status for s in cert.steps}
     assert statuses["kunneth-survivors"] == statuses["cohomology-shadow"] == "SKIPPED"
-    assert certificate_to_json(cert).encode("utf-8") == (HERE / name).read_bytes()

@@ -32,7 +32,7 @@ def test_weight_errors():
         weight_from_eigenvalue(1, 2, 5)
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True])
 def test_weight_rejects_non_integer_exponent(bad):
     with pytest.raises(TypeError):
         weight_from_eigenvalue(1, 2, bad)
