@@ -71,7 +71,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .exact import _add_term, combo_add, combo_scale, combo_sorted_items, render_terms
@@ -140,10 +139,9 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
 
     Returns the integer d^(2g) and v, where d is the gcd of the entries and
     v is raw/d with the sign flipped if needed so its first nonzero entry is
-    positive; an already canonical vector comes back as (1, raw entries).
-    The zero vector returns (1, None): its class collapses onto a point and
-    contributes nothing.  Entries must be integers (``_as_ints``): bools,
-    floats, strings and Fractions raise TypeError.
+    positive.  The zero vector returns (1, None): its class collapses onto a
+    point and contributes nothing.  Entries must be integers (``_as_ints``):
+    bools, floats, strings and Fractions raise TypeError.
     """
     entries = _as_ints(raw)
     if len(entries) != ambient.m:
@@ -153,10 +151,7 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     d = math.gcd(*entries)
     if not d:
         return 1, None
-    first = next(x for x in entries if x)
-    if d == 1 and first > 0:
-        return 1, entries
-    if first < 0:
+    if next(x for x in entries if x) < 0:
         d = -d
     return d ** (2 * ambient.g), tuple(x // d for x in entries)
 
@@ -320,41 +315,24 @@ def orbit_representatives(c: OrbitCycle) -> FormalCycle:
     )
 
 
-@lru_cache(maxsize=8)
-def _orbit_scales(target: Ambient) -> tuple[int | None, ...]:
-    """Normalize the representative of each orbit O_k on the target, once per
-    k: its gcd factor, or None where it collapses onto a point (k = 0)."""
-    m = target.m
-    scales = []
-    for k in range(m + 1):
-        scale, v = normalize_twist((1,) * k + (0,) * (m - k), target)
-        scales.append(None if v is None else scale)
-    return tuple(scales)
-
-
 def orbit_proj_pushforward(c: OrbitCycle, j: int) -> OrbitCycle:
     """Pushforward of an orbit sum along the projection forgetting factor j.
 
     O_k goes to O_k + O_(k-1) on m-1 factors: the sets of size k without j
     keep their size and those with j lose it (module docstring).  The
     target O_0 is a point and dies, and the source O_m has no image among
-    the sets without j.  The O(m) fold is the same for every j, and each
-    target representative is normalized once per ambient, not once per j.
+    the sets without j.  Indicator vectors are already canonical, so no
+    orbit picks up a gcd factor, and the fold is the same for every j.
     Requires m >= 2, as ``proj_pushforward`` does.
     """
     amb = c.ambient
     if amb.m < 2:
         raise ValueError("cannot contract the only factor")
     _require_factor(amb, j)
-    target = Ambient(amb.g, amb.m - 1)
-    scales = _orbit_scales(target)
     a = c.coeffs
-    out = [0] * amb.m
-    for k, scale in enumerate(scales):
-        if scale is not None:
-            # I = J misses j (size k); I = J plus j has size k + 1
-            out[k] = (a[k] + a[k + 1]) * scale
-    return OrbitCycle(target, tuple(out))
+    # I = J misses j (size k); I = J plus j has size k + 1
+    out = (0,) + tuple(a[k] + a[k + 1] for k in range(1, amb.m))
+    return OrbitCycle(Ambient(amb.g, amb.m - 1), out)
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

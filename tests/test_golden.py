@@ -14,8 +14,8 @@ keyword arguments listed for it, pinning what the command line cannot
 reach.  The (1,3) file was written before certificates were serialized
 from their dataclasses; its ``kunneth-survivors`` and ``cohomology-shadow``
 steps are both SKIPPED.  The (2,7) file was written before the orbit-sum
-formal checks; its sample holds n = -1 and 1, where the sign rule and the
-canonical-vector return of ``normalize_twist`` meet.
+formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
+and sign rules.
 """
 
 from pathlib import Path
