@@ -7,7 +7,9 @@ the formal layer moved to integer coefficients, and the formal and grading
 certificates at (4,8), (4,9), (5,10) and (5,11) before the Kunneth
 survivors were walked as complement multisets, and the formal and grading
 certificates at (1,16) and (1,18) before the formal identities were checked
-on orbit sums; any change to certificate or survey bytes must show up here.  Each file in GOLDEN is the stdout of
+on orbit sums, and the formal and grading certificates at (5,6) and (6,5)
+before the survivor walk went factor by factor; any change to certificate
+or survey bytes must show up here.  Each file in GOLDEN is the stdout of
 ``python -m modiag`` with the arguments listed for it.  Each file in
 LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
 keyword arguments listed for it, pinning what the command line cannot
@@ -47,6 +49,13 @@ GOLDEN = {
     **{
         f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
         for g, m in ((4, 8), (4, 9), (5, 10), (5, 11))
+    },
+    # Deep inside the survivor regime: (5,6) lists all 126 survivors and
+    # (6,5) lists the first 128 of 330, pinning the survivor order and the
+    # list cap.
+    **{
+        f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
+        for g, m in ((5, 6), (6, 5))
     },
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
