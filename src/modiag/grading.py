@@ -24,10 +24,14 @@ certificate with one step per move:
      profiles are counted: the complements to 2g of a surviving profile
      are all at least 1 yet sum to 2g, so survivors force m <= 2g, and for
      m >= 2g+1 nothing is left.  The profiles are walked through their
-     complements, as the size-2g multisets of factor positions; a profile
-     survives when its multiset hits every factor.  The walk visits exactly
-     ``count_admissible(g, m, 2g(m-1))`` profiles, which ``enum_bound``
-     bounds, and keeps only the survivors;
+     complements, the multiplicities of size-2g multisets of factor
+     positions, one factor at a time; a profile survives when its multiset
+     hits every factor.  A class of profiles that skips a factor is
+     generated and counted in C, and only prefixes with no gap are walked
+     on in Python.  The walk counts exactly ``count_admissible(g, m,
+     2g(m-1))`` profiles, which ``enum_bound`` bounds, and keeps only the
+     survivors.  It has no prune on slots left against factors left, since
+     that prune is the pigeonhole it checks;
   6. optionally, the exterior-algebra realization is computed as an
      independent shadow of the same conclusion.
 
@@ -163,19 +167,47 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
 def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     """Walk the multidegrees of total 2g(m-1) and keep those with no entry 2g.
 
-    The complements 2g - i_j of such a multidegree are at least 0 and sum to
-    2g, so they are the multiplicities of a size-2g multiset of factor
-    positions, and an entry 2g is a factor the multiset misses.  Returns the
-    number of multidegrees walked and the survivors, in the lexicographic
-    order of ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``: sorted
-    multisets in lexicographic order have descending complement vectors.
+    The complements c_j = 2g - i_j of such a multidegree are at least 0 and
+    sum to 2g, so they are the multiplicities of a size-2g multiset of factor
+    positions, and an entry 2g is a factor the multiset misses (c_j = 0).
+    The walk fixes c_0, c_1, ... one factor at a time from an explicit stack,
+    without recursion.  A prefix whose entries are all at least 1 is alive.
+    Below an alive prefix of length j with r >= 1 slots left:
+
+    - c_j = 0 misses factor j, and so does every completion: the size-r
+      multisets over the factors after j, generated and counted in C with
+      no per-multiset test;
+    - c_j = r leaves no slot, so its one completion misses factor j+1;
+    - c_j = 1..r-1 is alive and is walked on.  At j = m-2 the last factor
+      takes the rest, r - c_j >= 1, and the profile survives; there the
+      two dead parts are single profiles, and r + 1 profiles are counted.
+
+    Every profile is counted once, so the first result, the number walked,
+    cross-checks the partition against ``count_admissible(g, m, 2g(m-1))``.
+    There is no prune on "fewer slots left than factors": that prune is the
+    pigeonhole itself, so for m >= 2g+1 the empty survivor list comes out of
+    the walk instead of being assumed.  Python works per alive prefix, C per
+    profile that misses a factor.  Children are pushed in ascending c_j, so
+    survivors come out with descending complements, in the lexicographic
+    order of ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``.
     """
     top = 2 * g
-    survivors = []
-    for walked, positions in enumerate(combinations_with_replacement(range(m), top), 1):
-        # a sorted multiset that misses the last factor cannot hit them all
-        if positions[-1] == m - 1 and len(set(positions)) == m:
-            survivors.append(tuple(top - positions.count(j) for j in range(m)))
+    if m == 1:
+        return 1, [(0,)]  # the one factor takes every slot
+    walked = 0
+    survivors: list[MultiDegree] = []
+    stack: list[tuple[MultiDegree, int]] = [((), top)]  # alive prefixes, as degrees
+    inner = m - 2
+    while stack:
+        prefix, r = stack.pop()
+        j = len(prefix)
+        if j < inner:
+            # map(bool, ...) lets the multisets reuse one tuple; r >= 1, so each is nonempty
+            walked += sum(map(bool, combinations_with_replacement(range(m - 1 - j), r))) + 1
+            stack.extend([(prefix + (top - c,), r - c) for c in range(1, r)])
+        else:
+            walked += r + 1
+            survivors += [prefix + (top - c, top - r + c) for c in range(r - 1, 0, -1)]
     return walked, survivors
 
 

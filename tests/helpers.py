@@ -4,12 +4,15 @@ The oracles here deliberately avoid the code paths they check.  Admissible
 multidegrees are re-derived by filtering a full cartesian product, and
 pushforwards are checked against the adjunction that defines them, using
 only wedge, integrate and pullback.  Orbit sums are expanded back into
-all 2^m indicator diagonals and built through ``cycle``.
+all 2^m indicator diagonals and built through ``cycle``.  The Kunneth
+survivors are re-walked flat, one size-2g multiset of factor positions at
+a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import combinations_with_replacement
 import random
 from fractions import Fraction
 
@@ -29,6 +32,21 @@ def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:
     return [
         t for t in itertools.product(range(2 * g + 1), repeat=m) if sum(t) == nu
     ]
+
+
+def flat_kunneth_survivors(g: int, m: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The survivor walk before it went factor by factor: every size-2g
+    multiset of factor positions in lexicographic order, each tested on its
+    own.  A profile survives when its multiset hits every factor; the
+    multiplicities are the complements 2g - i_j.  Returns the number walked
+    and the survivors."""
+    top = 2 * g
+    survivors = []
+    for walked, positions in enumerate(combinations_with_replacement(range(m), top), 1):
+        # a sorted multiset that misses the last factor cannot hit them all
+        if positions[-1] == m - 1 and len(set(positions)) == m:
+            survivors.append(tuple(top - positions.count(j) for j in range(m)))
+    return walked, survivors
 
 
 def monomials_of_degree(ambient: Ambient, degree: int) -> list[int]:

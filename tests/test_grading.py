@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_admissible
+from helpers import brute_admissible, flat_kunneth_survivors
 from modiag import (
     admissible_degrees,
     certificate_to_json,
@@ -110,7 +111,16 @@ def test_pigeonhole_agrees_with_enumeration():
                 assert survivors == [(2 * g - 1,) * m]
 
 
-WALK_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 4)] + [(4, 8), (4, 9), (5, 10)]
+WALK_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 4)] + [
+    (4, 8),
+    (4, 9),
+    (5, 10),
+    (5, 11),
+    (5, 6),
+    (6, 5),
+    (1, 40),
+    (2, 30),
+]
 
 
 @pytest.mark.parametrize("g,m", WALK_CASES)
@@ -119,6 +129,30 @@ def test_survivor_walk_matches_enumeration(g, m):
     walked, survivors = _kunneth_survivors(g, m)
     assert survivors == filter_top(degrees, g)
     assert walked == len(degrees)
+    assert (walked, survivors) == flat_kunneth_survivors(g, m)
+
+
+@given(st.integers(1, 4), st.integers(1, 9))
+def test_survivor_walk_matches_flat_walk(g, m):
+    walk = _kunneth_survivors(g, m)
+    assert walk == flat_kunneth_survivors(g, m)
+    assert walk[1] == filter_top(admissible_degrees(g, m, 2 * g * (m - 1)), g)
+
+
+@pytest.mark.parametrize("g,m", [(700, 1), (1000, 2), (300, 3)])
+def test_survivor_walk_is_iterative_and_fast_at_large_genus(g, m):
+    # A walk that recursed once per factor slot would exceed the recursion
+    # limit here; the flat walk takes seconds at (300, 3).
+    start = time.perf_counter()
+    cert = replay_proof(g, m, layers=("grading",))
+    assert time.perf_counter() - start < 1
+    step = next(s for s in cert.steps if s.id == "kunneth-survivors")
+    assert step.status == PASS and step.witness["matches_analytic"]
+    nu = 2 * g * (m - 1)
+    walked, survivors = _kunneth_survivors(g, m)
+    assert walked == count_admissible(g, m, nu) == step.witness["admissible_count"]
+    assert len(survivors) == grading._count_bounded(m, nu, 2 * g - 1)
+    assert survivors[:1] == [prove_empty_pigeonhole(g, m).counterexample]
 
 
 def test_survivor_count_cross_checks_the_walk(monkeypatch):
