@@ -4,7 +4,8 @@ Both commands only render certificates from ``replay_proof``; a survey row
 is a summary of the all-layer certificate for its power.
 
 Exit codes: 0 success (including the reported-survivors regime m <= 2g),
-1 verification failure, 2 usage or resource errors.
+1 verification failure, 2 usage or resource errors, including an --out
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     cert = replay_proof(g, m, layers=layers, max_dim=args.max_dim)
     payload = certificate_to_json(cert) if args.format == "json" else certificate_to_text(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write the certificate to {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
 

@@ -108,6 +108,17 @@ def test_verify_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "cert.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--genus", "1", "--power", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write the certificate")
+    assert not target.parent.exists()
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--genus", "1", "--power", "3", "--format", "text")
     assert code == 0
