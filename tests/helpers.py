@@ -12,7 +12,6 @@ a time.
 from __future__ import annotations
 
 import itertools
-from itertools import combinations_with_replacement
 import random
 from fractions import Fraction
 
@@ -35,14 +34,14 @@ def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:
 
 
 def flat_kunneth_survivors(g: int, m: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The survivor walk before it went factor by factor: every size-2g
-    multiset of factor positions in lexicographic order, each tested on its
-    own.  A profile survives when its multiset hits every factor; the
+    """The oracle for ``grading._kunneth_survivors``, walked flat: every
+    size-2g multiset of factor positions in lexicographic order, each tested
+    on its own.  A profile survives when its multiset hits every factor; the
     multiplicities are the complements 2g - i_j.  Returns the number walked
     and the survivors."""
     top = 2 * g
     survivors = []
-    for walked, positions in enumerate(combinations_with_replacement(range(m), top), 1):
+    for walked, positions in enumerate(itertools.combinations_with_replacement(range(m), top), 1):
         # a sorted multiset that misses the last factor cannot hit them all
         if positions[-1] == m - 1 and len(set(positions)) == m:
             survivors.append(tuple(top - positions.count(j) for j in range(m)))

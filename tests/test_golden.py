@@ -44,18 +44,13 @@ GOLDEN = {
     **{f"verify-g1-m{m}.json": _verify(1, m, layers="formal,grading") for m in (16, 18)},
     "verify-g2-m7.json": _verify(2, 7),
     # The boundary pairs: both pigeonhole outcomes and the survivor witness.
-    # The shadow's graded dimension is above the default bound there, and
-    # verify refuses such a request with exit 2, so these leave it out.
+    # (5,6) lists all 126 survivors and (6,5) the first 128 of 330, pinning
+    # the survivor order and the list cap.  The shadow's graded dimension is
+    # above the default bound at all of these, and verify refuses such a
+    # request with exit 2, so these leave it out.
     **{
         f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
-        for g, m in ((4, 8), (4, 9), (5, 10), (5, 11))
-    },
-    # Deep inside the survivor regime: (5,6) lists all 126 survivors and
-    # (6,5) lists the first 128 of 330, pinning the survivor order and the
-    # list cap.
-    **{
-        f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
-        for g, m in ((5, 6), (6, 5))
+        for g, m in ((4, 8), (4, 9), (5, 10), (5, 11), (5, 6), (6, 5))
     },
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
