@@ -71,6 +71,30 @@ def test_verify_resource_bound_is_a_usage_error(capsys):
     assert "max-dim" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--genus", "3", "--power", "7", "--layers", "cohomology", "--max-dim", "1000"),
+            "error: the cohomology layer at g=3 m=7 needs a graded piece of dimension 5245786,"
+            " at or above the bound 1000; raise --max-dim or drop the layer\n",
+        ),
+        (
+            ("--genus", "2", "--power", "5", "--layers", "formal,grading,cohomology", "--max-dim", "100"),
+            "error: the cohomology layer at g=2 m=5 needs a graded piece of dimension 4845,"
+            " at or above the bound 100; raise --max-dim or drop the layer\n",
+        ),
+    ],
+)
+def test_verify_refusal_is_one_stderr_line_and_no_output(tmp_path, capsys, argv, message):
+    target = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", message)
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
+    assert (code, out, err) == (2, "", message)
+    assert not target.exists()
+
+
 def test_verify_shadow_at_first_vanishing_power_g3(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--genus", "3", "--power", "7",
