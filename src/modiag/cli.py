@@ -4,8 +4,9 @@ Both commands only render certificates from ``replay_proof``; a survey row
 is a summary of the all-layer certificate for its power.
 
 Exit codes: 0 success (including the reported-survivors regime m <= 2g),
-1 verification failure, 2 usage or resource errors, including an --out
-path that cannot be written.
+1 verification failure, 2 usage or resource errors: the certificate's
+cohomology-shadow step was SKIPPED by --max-dim, or the --out path cannot
+be written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .grading import (
     SKIPPED,
     certificate_to_json,
     certificate_to_text,
-    graded_dimension,
     replay_proof,
 )
 
@@ -76,19 +76,16 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             layers.append(name)
     if not layers or any(name not in LAYERS for name in layers):
         parser.error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
-    g, m = args.genus, args.power
-    if "cohomology" in layers:
-        dim = graded_dimension(g, m)
-        if dim >= args.max_dim:
+    cert = replay_proof(args.genus, args.power, layers=layers, max_dim=args.max_dim)
+    for s in cert.steps:
+        if s.id == "cohomology-shadow" and s.status == SKIPPED:
             print(
-                f"error: the cohomology layer at g={g} m={m} needs a graded piece of"
-                f" dimension {dim}, at or above the bound {args.max_dim};"
-                " raise --max-dim or drop the layer",
+                f"error: the cohomology layer at g={cert.g} m={cert.m} needs a graded piece of"
+                f" dimension {s.witness['graded_dimension']}, at or above the bound"
+                f" {s.witness['max_dim']}; raise --max-dim or drop the layer",
                 file=sys.stderr,
             )
             return 2
-
-    cert = replay_proof(g, m, layers=layers, max_dim=args.max_dim)
     payload = certificate_to_json(cert) if args.format == "json" else certificate_to_text(cert)
     if args.out:
         try:

@@ -83,7 +83,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient
-from .exact import _add_term, combo, combo_add, combo_scale, render_terms
+from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def ext_class(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> ExtClass:
     t = combo(terms)
     limit = 1 << _generator_count(ambient)
     for mask in t:
-        if not isinstance(mask, int) or not 0 <= mask < limit:
+        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < limit:
             raise ValueError(f"monomial {mask!r} is outside the generator set")
     return ExtClass(ambient, t)
 
@@ -288,12 +288,9 @@ def pullback(f: LinearMap, c: ExtClass) -> ExtClass:
     if amb.m != f.target_blocks:
         raise ValueError("class does not live on the map's target")
     image = _degree_one_images(f, amb.g)
-    out: dict = {}
-    for mask, coeff in c.terms.items():
-        k, smask = _pull_monomial(image, mask)
-        if k:
-            _add_term(out, smask, coeff * k)
-    return ExtClass(Ambient(amb.g, f.source_blocks), out)
+    return ExtClass(
+        Ambient(amb.g, f.source_blocks), _map_terms(c.terms, lambda mask: _pull_monomial(image, mask))
+    )
 
 
 def pushforward(f: LinearMap, c: ExtClass) -> ExtClass:

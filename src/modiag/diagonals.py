@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact import _add_term, combo_add, combo_scale, combo_sorted_items, render_terms
+from .exact import _add_term, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
 
 TwistVector = tuple[int, ...]
 
@@ -219,15 +219,10 @@ def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     """
     j = _require_factor(c.ambient, j)
     n = _as_int(n)
-    out: dict = {}
-    for v, coeff in c.terms.items():
-        raw = list(v)
-        raw[j - 1] *= n
-        extra, w = normalize_twist(raw, c.ambient)
-        if w is None:
-            continue
-        _add_term(out, w, coeff * extra)
-    return FormalCycle(c.ambient, out)
+    amb = c.ambient
+    return FormalCycle(
+        amb, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + (n * v[j - 1],) + v[j:], amb))
+    )
 
 
 def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
@@ -241,11 +236,8 @@ def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
     n = _as_int(n)
     if n == 0:
         raise ValueError("n = 0 collapses the whole product; rejected")
-    out: dict = {}
-    for v, coeff in c.terms.items():
-        extra, w = normalize_twist([n * x for x in v], c.ambient)
-        _add_term(out, w, coeff * extra)
-    return FormalCycle(c.ambient, out)
+    amb = c.ambient
+    return FormalCycle(amb, _map_terms(c.terms, lambda v: normalize_twist([n * x for x in v], amb)))
 
 
 def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
@@ -261,13 +253,9 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
         raise ValueError("cannot contract the only factor")
     j = _require_factor(amb, j)
     target = Ambient(amb.g, amb.m - 1)
-    out: dict = {}
-    for v, coeff in c.terms.items():
-        extra, w = normalize_twist(v[: j - 1] + v[j:], target)
-        if w is None:
-            continue
-        _add_term(out, w, coeff * extra)
-    return FormalCycle(target, out)
+    return FormalCycle(
+        target, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + v[j:], target))
+    )
 
 
 @dataclass(frozen=True)
@@ -315,20 +303,21 @@ def orbit_representatives(c: OrbitCycle) -> FormalCycle:
     )
 
 
-def orbit_proj_pushforward(c: OrbitCycle, j: int) -> OrbitCycle:
-    """Pushforward of an orbit sum along the projection forgetting factor j.
+def orbit_proj_pushforward(c: OrbitCycle) -> OrbitCycle:
+    """Pushforward of an orbit sum along the projection forgetting any one
+    factor j.
 
     O_k goes to O_k + O_(k-1) on m-1 factors: the sets of size k without j
     keep their size and those with j lose it (module docstring).  The
     target O_0 is a point and dies, and the source O_m has no image among
     the sets without j.  Indicator vectors are already canonical, so no
-    orbit picks up a gcd factor, and the fold is the same for every j.
-    Requires m >= 2, as ``proj_pushforward`` does.
+    orbit picks up a gcd factor.  The fold is the same for every j, so it
+    takes no j and is computed once for all m contractions.  Requires
+    m >= 2, as ``proj_pushforward`` does.
     """
     amb = c.ambient
     if amb.m < 2:
         raise ValueError("cannot contract the only factor")
-    _require_factor(amb, j)
     a = c.coeffs
     # I = J misses j (size k); I = J plus j has size k + 1
     out = (0,) + tuple(a[k] + a[k + 1] for k in range(1, amb.m))

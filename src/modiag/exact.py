@@ -40,6 +40,18 @@ def _add_term(out: dict, key, value) -> None:
         del out[key]
 
 
+def _map_terms(terms: Mapping, image) -> Combo:
+    """The one map-and-fold behind every pushforward and pullback: ``image(key)``
+    returns ``(k, key')``, and the term enters as coefficient * k at key',
+    or is dropped when k == 0 or key' is None."""
+    out: Combo = {}
+    for key, value in terms.items():
+        k, new = image(key)
+        if k and new is not None:
+            _add_term(out, new, value * k)
+    return out
+
+
 def combo(terms: Mapping | Iterable[tuple] = ()) -> Combo:
     """Build a combo in canonical form.
 

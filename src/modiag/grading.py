@@ -15,8 +15,9 @@ certificate with one step per move:
      (``diagonals`` docstring): the m representatives D(1_{1..k}) are
      pushed forward with the gcd and sign rules, in place of all 2^m - 1
      twisted diagonals;
-  2. contracting any factor kills it, checked exactly for each factor j by
-     folding the m+1 orbit coefficients, O_k -> O_k + O_(k-1);
+  2. contracting any factor kills it, checked exactly by folding the m+1
+     orbit coefficients, O_k -> O_k + O_(k-1).  The fold is the same for
+     every factor j, so it is computed once and listed for each j;
   3. the decomposition above is imported as an explicit axiom, never
      silently;
   4. step 1 pins the class to total weight 2g(m-1);
@@ -45,9 +46,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cohomology import modified_diagonal_class, profile_support
 from .diagonals import (
@@ -296,14 +298,12 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         status=PASS if all(c["verified"] for c in checks) else FAIL,
         witness={"checks": checks},
     )
-    contractions = []
-    for j in range(1, m + 1) if m >= 2 else []:
-        contractions.append(
-            {"j": j, "vanishes": orbit_proj_pushforward(orbits, j).is_zero}
-        )
     if m >= 2:
+        vanishes = orbit_proj_pushforward(orbits).is_zero
+        contractions = [{"j": j, "vanishes": vanishes} for j in range(1, m + 1)]
         statement = f"contracting any one of the {m} factors kills the modified diagonal"
     else:
+        contractions = []
         statement = "no factor can be contracted at m = 1; the identity holds vacuously"
     contraction_step = Step(
         id="contraction-vanishing",
@@ -448,9 +448,10 @@ def _grading_steps(
     return steps
 
 
-def _cohomology_step(
-    g: int, m: int, survivors: list[MultiDegree] | None, dim: int, max_dim: int
-) -> Step:
+def _cohomology_step(g: int, m: int, walk: Callable, max_dim: int) -> Step:
+    """The shadow step, and the one place that decides the shadow's bound;
+    ``walk()`` is read only for the survivor containment check at m <= 2g."""
+    dim = graded_dimension(g, m)
     if dim >= max_dim:
         return Step(
             id="cohomology-shadow",
@@ -480,8 +481,9 @@ def _cohomology_step(
         ok = cls.is_zero
         statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
     else:
-        if survivors is not None:
-            contained = set(support) <= set(survivors)
+        walked = walk()
+        if walked is not None:
+            contained = set(support) <= set(walked[1])
             witness["survivor_containment"] = "verified" if contained else "violated"
         else:
             contained = True
@@ -517,7 +519,8 @@ def replay_proof(
     FAILed; for m <= 2g the pigeonhole step fails by design, carrying its
     counterexample and an explicit no-claim note, so the certificate never
     asserts a vanishing the argument does not give.  Resource-bound
-    overruns surface as SKIPPED steps, never as silent truncation.
+    overruns surface as SKIPPED steps, never as silent truncation.  Both
+    bounds follow ``_as_int``: a bool, float or string raises TypeError.
     """
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)
@@ -532,24 +535,23 @@ def replay_proof(
             sample.append(0)
     if not sample or 0 in sample:
         raise ValueError("the multiplication sample must be nonzero integers")
+    enum_bound, max_dim = _as_int(enum_bound), _as_int(max_dim)
 
-    # The Kunneth survivors at weight 2g(m-1), walked once for both the
-    # grading step and the shadow's containment check; None when the walk
-    # is above enum_bound or no requested step reads it.
-    nu = 2 * g * (m - 1)
-    walk = None
-    dim = graded_dimension(g, m)
-    shadow_reads = "cohomology" in layer_set and m <= 2 * g and dim < max_dim
-    if ("grading" in layer_set or shadow_reads) and count_admissible(g, m, nu) <= enum_bound:
-        walk = _kunneth_survivors(g, m)
+    @cache
+    def walk() -> tuple[int, list[MultiDegree]] | None:
+        # The Kunneth walk at weight 2g(m-1), done at most once and only if a
+        # step reads it; None above enum_bound.
+        if count_admissible(g, m, 2 * g * (m - 1)) > enum_bound:
+            return None
+        return _kunneth_survivors(g, m)
 
     steps: list[Step] = []
     if "formal" in layer_set:
         steps.extend(_formal_steps(g, m, sample))
     if "grading" in layer_set:
-        steps.extend(_grading_steps(g, m, walk, enum_bound))
+        steps.extend(_grading_steps(g, m, walk(), enum_bound))
     if "cohomology" in layer_set:
-        steps.append(_cohomology_step(g, m, None if walk is None else walk[1], dim, max_dim))
+        steps.append(_cohomology_step(g, m, walk, max_dim))
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)

@@ -242,8 +242,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_cli_imports_no_private_name_and_no_lower_layer():
     """The command line only renders replay_proof certificates: it imports no
-    underscore name and nothing from diagonals, cohomology or exact."""
-    lower = {"diagonals", "cohomology", "exact"}
+    underscore name, nothing from diagonals, cohomology or exact, and not
+    graded_dimension, since the certificate alone decides the shadow's bound."""
+    lower = {"diagonals", "cohomology", "exact", "graded_dimension"}
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert imports

@@ -97,6 +97,8 @@ def test_ext_class_rejects_foreign_monomials():
     with pytest.raises(ValueError):
         ext_class(E1, {1 << 2: 1})
     with pytest.raises(ValueError):
+        ext_class(E1, {True: 1})
+    with pytest.raises(ValueError):
         monomial_mask(E1, [(1, 1), (1, 1)])
 
 

@@ -17,7 +17,7 @@ from modiag import (
     weight_from_eigenvalue,
 )
 from modiag import grading
-from modiag.grading import ASSUMED, FAIL, PASS, SKIPPED, STEP_KINDS, _kunneth_survivors
+from modiag.grading import ASSUMED, FAIL, LAYERS, PASS, SKIPPED, STEP_KINDS, _kunneth_survivors
 
 
 def test_weight_examples():
@@ -289,6 +289,13 @@ def test_replay_proof_input_validation():
         replay_proof(1, 2, layers=())
     with pytest.raises(ValueError):
         replay_proof(1, 2, mult_sample=(2, 0))
+
+
+@pytest.mark.parametrize("bad", [True, 5.0, float("nan"), "5"], ids=repr)
+@pytest.mark.parametrize("bound", ["enum_bound", "max_dim"])
+def test_replay_proof_bounds_follow_the_integer_rule(bound, bad):
+    with pytest.raises(TypeError):
+        replay_proof(1, 3, layers=LAYERS, **{bound: bad})
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"])
