@@ -28,11 +28,14 @@ certificate with one step per move:
      complements, the multiplicities of size-2g multisets of factor
      positions, one factor at a time; a profile survives when its multiset
      hits every factor.  A class of profiles that skips a factor is
-     generated and counted in C, and only prefixes with no gap are walked
-     on in Python.  The walk counts exactly ``count_admissible(g, m,
-     2g(m-1))`` profiles, which ``enum_bound`` bounds, and keeps only the
-     survivors.  It has no prune on slots left against factors left, since
-     that prune is the pigeonhole it checks;
+     counted whole, by the stars-and-bars binomial C(n+r-1, r) for the
+     size-r multisets over the n factors after the gap, and only prefixes
+     with no gap are walked on.  Python works per alive prefix, at most
+     2^(2g-1) of them (all of them once m >= 2g+1), and per survivor.
+     The walk counts exactly ``count_admissible(g, m, 2g(m-1))`` profiles,
+     which ``enum_bound`` bounds from above, and keeps only the survivors.
+     It has no prune on slots left against factors left, since that prune
+     is the pigeonhole it checks;
   6. optionally, the exterior-algebra realization is computed as an
      independent shadow of the same conclusion.
 
@@ -47,7 +50,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -131,7 +133,7 @@ def _count_bounded(slots: int, total: int, cap: int) -> int:
 def count_admissible(g: int, m: int, nu: int) -> int:
     """Number of multidegrees in {0..2g}^m of total nu, without enumeration."""
     Ambient(g, m)
-    return _count_bounded(m, nu, 2 * g)
+    return _count_bounded(m, _as_int(nu), 2 * g)
 
 
 def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
@@ -156,7 +158,7 @@ def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
 
 def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
     Ambient(g, m)
-    return list(iter_admissible(g, m, nu))
+    return list(iter_admissible(g, m, _as_int(nu)))
 
 
 def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
@@ -177,8 +179,8 @@ def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     Below an alive prefix of length j with r >= 1 slots left:
 
     - c_j = 0 misses factor j, and so does every completion: the size-r
-      multisets over the factors after j, generated and counted in C with
-      no per-multiset test;
+      multisets over the m-1-j factors after j, counted whole by stars and
+      bars as C(m-2-j+r, r), none of them generated;
     - c_j = r leaves no slot, so its one completion misses factor j+1;
     - c_j = 1..r-1 is alive and is walked on.  At j = m-2 the last factor
       takes the rest, r - c_j >= 1, and the profile survives; there the
@@ -188,8 +190,9 @@ def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     cross-checks the partition against ``count_admissible(g, m, 2g(m-1))``.
     There is no prune on "fewer slots left than factors": that prune is the
     pigeonhole itself, so for m >= 2g+1 the empty survivor list comes out of
-    the walk instead of being assumed.  Python works per alive prefix, C per
-    profile that misses a factor.  Children are pushed in ascending c_j, so
+    the walk instead of being assumed.  The work is one step per alive
+    prefix, a composition of less than 2g, so at most 2^(2g-1) steps, plus
+    one tuple per survivor.  Children are pushed in ascending c_j, so
     survivors come out with descending complements, in the lexicographic
     order of ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``.
     """
@@ -204,8 +207,9 @@ def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
         prefix, r = stack.pop()
         j = len(prefix)
         if j < inner:
-            # map(bool, ...) lets the multisets reuse one tuple; r >= 1, so each is nonempty
-            walked += sum(map(bool, combinations_with_replacement(range(m - 1 - j), r))) + 1
+            # the dead class c_j = 0, size-r multisets over the m-1-j later
+            # factors, by stars and bars; the + 1 is the child c_j = r
+            walked += comb(m - 2 - j + r, r) + 1
             stack.extend([(prefix + (top - c,), r - c) for c in range(1, r)])
         else:
             walked += r + 1
@@ -521,6 +525,12 @@ def replay_proof(
     asserts a vanishing the argument does not give.  Resource-bound
     overruns surface as SKIPPED steps, never as silent truncation.  Both
     bounds follow ``_as_int``: a bool, float or string raises TypeError.
+
+    ``enum_bound`` gates the Kunneth walk by ``count_admissible``, the
+    number of profiles the walk counts.  That is a sound upper bound on
+    its work but a loose one, since dead classes are counted whole: at
+    (7, 15) the default bound SKIPs 40,116,600 profiles that the walk
+    covers in 8,192 prefix steps.
     """
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)

@@ -39,6 +39,13 @@ def test_weight_rejects_non_integer_exponent(bad):
         weight_from_eigenvalue(1, 2, bad)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("call", [count_admissible, admissible_degrees])
+def test_weight_total_rejects_non_integer(call, bad):
+    with pytest.raises(TypeError):
+        call(1, 2, bad)
+
+
 @given(st.integers(1, 4), st.integers(1, 6), st.data())
 def test_weight_inverts_exponent(g, m, data):
     w = data.draw(st.integers(0, 2 * g * m))
@@ -153,6 +160,37 @@ def test_survivor_walk_is_iterative_and_fast_at_large_genus(g, m):
     assert walked == count_admissible(g, m, nu) == step.witness["admissible_count"]
     assert len(survivors) == grading._count_bounded(m, nu, 2 * g - 1)
     assert survivors[:1] == [prove_empty_pigeonhole(g, m).counterexample]
+
+
+@pytest.mark.parametrize(
+    "g,m,walked,survivors",
+    [
+        (7, 14, 20_058_300, [(13,) * 14]),
+        (7, 15, 40_116_600, []),
+        (8, 17, 601_080_390, []),
+    ],
+)
+def test_survivor_walk_counts_dead_classes_without_enumerating_them(g, m, walked, survivors):
+    # Generating the profiles that miss a factor one by one, even in C,
+    # overruns the 1 s bound at (7, 15) and (8, 17); counting each dead
+    # class by its binomial walks only the 2^(2g-1) alive prefixes.
+    start = time.perf_counter()
+    walk = _kunneth_survivors(g, m)
+    assert time.perf_counter() - start < 1
+    assert walk == (walked, survivors)
+    assert walked == count_admissible(g, m, 2 * g * (m - 1))
+
+
+def test_replay_proof_walks_far_beyond_the_default_bound():
+    start = time.perf_counter()
+    cert = replay_proof(7, 15, layers=("grading",), enum_bound=10**9)
+    assert time.perf_counter() - start < 1
+    steps = {s.id: s for s in cert.steps}
+    walk = steps["kunneth-survivors"]
+    assert (walk.status, walk.witness["matches_analytic"]) == (PASS, True)
+    assert walk.witness["admissible_count"] == 40_116_600
+    assert steps["top-degree-pigeonhole"].status == PASS
+    assert cert.result == PASS
 
 
 def test_survivor_count_cross_checks_the_walk(monkeypatch):
