@@ -19,23 +19,25 @@ Pushforward is characterized against integration by the adjunction
 
     integrate(pushforward(f, a) ^ b) = integrate(a ^ pullback(f, b))
 
-and computed by the dual-basis method: for each target monomial of the
-complementary degree, pair the argument against its pullback and attach
-the result to the pairing-dual monomial with the matching sign.  Only one
-graded piece of the target is ever walked; for five blocks of four
-generators that is C(20, 4) = 4845 monomials inside an algebra of
-dimension 2^20, which keeps the computation cheap.
+and computed by the dual-basis method: a term a of the argument pairs
+with the target monomials mu that pull back to its complement sigma, and
+each contributes to the pairing-dual monomial of mu with the matching
+sign.  Every map kind sends a degree-one generator to an integer multiple
+of one source generator, so those mu are enumerated directly, as one
+generator with a nonzero image over each position of sigma; no other
+monomial of the target is visited.  Along the diagonal of v into four
+factors of genus 3, pushing forward the unit costs 4^6 = 4096 monomials,
+where its graded piece of the target holds C(24, 6) = 134596.
 
 The maps realized are exactly the three the diagonal calculus pushes
 along: twisted diagonals x -> (v_1*x, ..., v_m*x), projections forgetting
 factors, and blockwise multiplication by integers.
 
 The modified diagonal has a closed form, ``modified_diagonal_class``.  The
-dual-basis pushforward (``class_of_twist`` and ``class_of_cycle``) is kept
-as its test oracle and is no longer on the certificate path.
+pushforward (``class_of_twist`` and ``class_of_cycle``) is kept as its
+test oracle and is not on the certificate path.
 
-Every map kind sends a degree-one generator to a multiple of one generator,
-so along the diagonal of v the only monomials of degree 2g with a nonzero
+Along the diagonal of v the only monomials of degree 2g with a nonzero
 pullback are the transversals: one generator e[kappa(k),k] from each
 column k, for a map kappa: {1..2g} -> {1..m}.  Let b_kappa be the monomial
 on them.  The column-ordered wedge e[kappa(1),1]^...^e[kappa(2g),2g] pulls
@@ -294,47 +296,39 @@ def pullback(f: LinearMap, c: ExtClass) -> ExtClass:
 
 
 def pushforward(f: LinearMap, c: ExtClass) -> ExtClass:
-    """Pushforward along f, computed by the dual-basis method.
+    """Pushforward along f, enumerating only the target monomials that pull
+    back nonzero.
 
-    For each homogeneous part of degree d, walk the target monomials mu of
-    degree (source generators - d): the pairing of c against pullback(mu)
-    is the coefficient of the monomial complementary to mu, up to the
-    Koszul sign that pairs them.  The target graded piece is walked once;
-    nothing of the full 2^(2gm)-dimensional algebra is materialized.
+    Each target generator pulls back to an integer multiple of one source
+    generator, so the monomials mu pairing with a term a are the products of
+    one nonzero preimage over each position of its complement sigma; mu
+    pulls back to sigma, and its complement carries the pairing.  A term of
+    degree d costs at most m^(2g-d) monomials along a diagonal into m
+    factors, C(2g, d) * m^(2g-d) over its whole graded piece, and at most
+    one along a projection or a scaling.
     """
     amb = c.ambient
     if amb.m != f.source_blocks:
         raise ValueError("class does not live on the map's source")
     g = amb.g
-    n_in = 2 * g * f.source_blocks
-    n_out = 2 * g * f.target_blocks
     target = Ambient(g, f.target_blocks)
     image = _degree_one_images(f, g)
+    n_in = 2 * g * f.source_blocks
     src_top = (1 << n_in) - 1
-    tgt_top = (1 << n_out) - 1
-
-    by_degree: dict[int, dict] = {}
-    for mask, coeff in c.terms.items():
-        by_degree.setdefault(mask.bit_count(), {})[mask] = coeff
+    tgt_top = (1 << 2 * g * f.target_blocks) - 1
+    preimages: list[list[int]] = [[] for _ in range(n_in)]
+    for t, (k, q) in enumerate(image):
+        if k:
+            preimages[q].append(1 << t)
 
     out: dict = {}
-    for d, part in sorted(by_degree.items()):
-        comp_deg = n_in - d
-        if comp_deg > n_out:
-            continue  # would land below degree zero
-        for positions in itertools.combinations(range(n_out), comp_deg):
-            mu = 0
-            for p in positions:
-                mu |= 1 << p
-            k, sigma = _pull_monomial(image, mu)
-            if not k:
-                continue
-            coeff = part.get(src_top ^ sigma)
-            if coeff is None:
-                continue
-            value = coeff * k * _merge_sign(src_top ^ sigma, sigma)
+    for a, coeff in c.terms.items():
+        sigma = src_top ^ a
+        value = coeff * _merge_sign(a, sigma)
+        for choice in itertools.product(*(preimages[p] for p in _positions(sigma))):
+            mu = sum(choice)
             nu = tgt_top ^ mu
-            _add_term(out, nu, value * _merge_sign(nu, mu))
+            _add_term(out, nu, value * _pull_monomial(image, mu)[0] * _merge_sign(nu, mu))
     return ExtClass(target, out)
 
 

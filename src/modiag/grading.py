@@ -164,6 +164,7 @@ def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
 def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
     """Drop every multidegree containing an entry equal to 2g (the top
     weight of one factor); input order is preserved."""
+    Ambient(g, 1)  # rejects non-integers, bools and values below 1
     top = 2 * g
     return [d for d in degrees if top not in d]
 

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the code paths they check.  Admissible
 multidegrees are re-derived by filtering a full cartesian product, and
 pushforwards are checked against the adjunction that defines them, using
-only wedge, integrate and pullback.  Orbit sums are expanded back into
-all 2^m indicator diagonals and built through ``cycle``.  The Kunneth
-survivors are re-walked flat, one size-2g multiset of factor positions at
-a time.
+only wedge, integrate and pullback, and against the dual-basis walk over
+the whole target graded piece that their enumeration replaced.  Orbit
+sums are expanded back into all 2^m indicator diagonals and built through
+``cycle``.  The Kunneth survivors are re-walked flat, one size-2g
+multiset of factor positions at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 from modiag import (
     Ambient,
+    ExtClass,
     cycle,
     ext_class,
     integrate,
@@ -24,6 +26,8 @@ from modiag import (
     pushforward,
     wedge,
 )
+from modiag.cohomology import _degree_one_images, _merge_sign, _pull_monomial
+from modiag.exact import _add_term
 
 
 def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:
@@ -82,6 +86,51 @@ def pushforward_satisfies_adjunction(f, alpha) -> bool:
             if not adjunction_holds(f, alpha, beta):
                 return False
     return True
+
+
+def dual_basis_pushforward(f, c):
+    """The oracle for ``cohomology.pushforward``: the dual-basis method.
+
+    For each homogeneous part of degree d, walk the target monomials mu of
+    degree (source generators - d): the pairing of c against pullback(mu)
+    is the coefficient of the monomial complementary to mu, up to the
+    Koszul sign that pairs them.  The target graded piece is walked once;
+    nothing of the full 2^(2gm)-dimensional algebra is materialized.
+    """
+    amb = c.ambient
+    if amb.m != f.source_blocks:
+        raise ValueError("class does not live on the map's source")
+    g = amb.g
+    n_in = 2 * g * f.source_blocks
+    n_out = 2 * g * f.target_blocks
+    target = Ambient(g, f.target_blocks)
+    image = _degree_one_images(f, g)
+    src_top = (1 << n_in) - 1
+    tgt_top = (1 << n_out) - 1
+
+    by_degree: dict[int, dict] = {}
+    for mask, coeff in c.terms.items():
+        by_degree.setdefault(mask.bit_count(), {})[mask] = coeff
+
+    out: dict = {}
+    for d, part in sorted(by_degree.items()):
+        comp_deg = n_in - d
+        if comp_deg > n_out:
+            continue  # would land below degree zero
+        for positions in itertools.combinations(range(n_out), comp_deg):
+            mu = 0
+            for p in positions:
+                mu |= 1 << p
+            k, sigma = _pull_monomial(image, mu)
+            if not k:
+                continue
+            coeff = part.get(src_top ^ sigma)
+            if coeff is None:
+                continue
+            value = coeff * k * _merge_sign(src_top ^ sigma, sigma)
+            nu = tgt_top ^ mu
+            _add_term(out, nu, value * _merge_sign(nu, mu))
+    return ExtClass(target, out)
 
 
 def random_fraction(rng: random.Random) -> Fraction:

@@ -62,15 +62,6 @@ def test_verify_rejects_bad_layers(capsys):
     assert code == 2
 
 
-def test_verify_resource_bound_is_a_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--genus", "2", "--power", "5",
-        "--layers", "cohomology", "--max-dim", "100",
-    )
-    assert code == 2
-    assert "max-dim" in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -81,6 +72,11 @@ def test_verify_resource_bound_is_a_usage_error(capsys):
         ),
         (
             ("--genus", "2", "--power", "5", "--layers", "formal,grading,cohomology", "--max-dim", "100"),
+            "error: the cohomology layer at g=2 m=5 needs a graded piece of dimension 4845,"
+            " at or above the bound 100; raise --max-dim or drop the layer\n",
+        ),
+        (
+            ("--genus", "2", "--power", "5", "--layers", "cohomology", "--max-dim", "100"),
             "error: the cohomology layer at g=2 m=5 needs a graded piece of dimension 4845,"
             " at or above the bound 100; raise --max-dim or drop the layer\n",
         ),
@@ -105,13 +101,6 @@ def test_verify_shadow_at_first_vanishing_power_g3(capsys):
     assert (shadow["id"], shadow["status"], shadow["witness"]["is_zero"]) == (
         "cohomology-shadow", "PASS", True,
     )
-    # the dimension bound still refuses the layer when set below C(42, 6)
-    code, _, err = run_cli(
-        capsys, "verify", "--genus", "3", "--power", "7",
-        "--layers", "cohomology", "--max-dim", "1000",
-    )
-    assert code == 2
-    assert "max-dim" in err
 
 
 def test_verify_output_is_byte_stable(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dual_basis_pushforward,
     monomials_of_degree,
     pushforward_satisfies_adjunction,
     random_homogeneous,
@@ -182,6 +183,35 @@ def test_pushforward_projection_examples():
     # low degrees push to zero outright
     assert pushforward(f, unit(E2)).is_zero
     assert pushforward(f, generator(E2, 1, 1)).is_zero
+
+
+def test_pushforward_matches_dual_basis_oracle():
+    # the enumeration of nonzero pullbacks against the graded-piece walk it
+    # replaced, term for term, on mixed-degree classes along every map kind
+    rng = random.Random(17)
+    zero_entries = set()
+    nonzero = 0
+    for trial in range(240):
+        g = rng.randint(1, 2)
+        kind = ("diagonal", "projection", "scaling")[trial % 3]
+        if kind == "projection":
+            m_in = rng.randint(1, 4)
+            f = projection_map(m_in, sorted(rng.sample(range(1, m_in + 1), rng.randint(1, m_in))))
+        else:
+            data = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 4)))
+            f = (diagonal_map if kind == "diagonal" else scaling_map)(data)
+            if 0 in data:
+                zero_entries.add(kind)
+        source = Ambient(g, f.source_blocks)
+        n = 2 * g * f.source_blocks
+        c = zero_class(source)
+        for _ in range(rng.randint(1, 3)):
+            c = ext_add(c, random_homogeneous(rng, source, rng.randint(0, n)))
+        got = pushforward(f, c)
+        assert got == dual_basis_pushforward(f, c)
+        nonzero += not got.is_zero
+    assert zero_entries == {"diagonal", "scaling"}
+    assert nonzero > 100
 
 
 def test_class_of_twist_frozen_values():
@@ -363,12 +393,14 @@ def test_vanishing_shadow_small():
                 assert kunneth_component(cls, profile).is_zero
 
 
-# (g, m) pairs on which the closed form is checked term for term against the
-# dual-basis pushforward summed over the inclusion-exclusion.
+# (g, m) pairs on which the closed form is checked term for term against
+# class_of_cycle, the pushforward of every twisted diagonal summed over the
+# inclusion-exclusion.
 ORACLE_PAIRS = (
     [(1, m) for m in range(1, 11)]
-    + [(2, m) for m in range(1, 6)]
-    + [(3, m) for m in range(1, 4)]
+    + [(2, m) for m in range(1, 7)]
+    + [(3, m) for m in range(1, 6)]
+    + [(4, 3)]
 )
 
 

@@ -299,6 +299,9 @@ def test_cohomology_step_consistent_for_small_m():
         lambda: prove_empty_pigeonhole(1, True),
         lambda: count_admissible(0, 3, 4),
         lambda: admissible_degrees(1, 2.0, 2),
+        lambda: filter_top([(2, 0), (1, 1)], True),
+        lambda: filter_top([(2, 0), (1, 1)], 1.0),
+        lambda: filter_top([(2, 0), (1, 1)], 0),
     ],
 )
 def test_grading_helpers_reject_bool_and_non_integer_shapes(call):
