@@ -149,10 +149,12 @@ def scaling_map(factors) -> LinearMap:
 
 @dataclass(frozen=True)
 class ExtClass:
-    """An exact cohomology class: Fraction combination of basis monomials."""
+    """An exact cohomology class: a combination of basis monomials whose
+    coefficients follow ``modiag.exact``, plain ``int`` in the closed form of
+    the modified diagonal and ``Fraction`` where a caller passes one."""
 
     ambient: Ambient
-    terms: dict  # bitmask -> nonzero Fraction
+    terms: dict  # bitmask -> nonzero int or Fraction
 
     @property
     def is_zero(self) -> bool:
@@ -384,7 +386,7 @@ def modified_diagonal_class(ambient: Ambient) -> ExtClass:
             return
         if k == two_g:
             # b determines kappa, so no monomial is written twice.
-            out[top ^ b] = Fraction(-c if inversions & 1 else c)
+            out[top ^ b] = -c if inversions & 1 else c
             return
         for j in image:
             # Columns before k already placed in a later block are inverted.

@@ -168,12 +168,16 @@ def test_survivor_walk_is_iterative_and_fast_at_large_genus(g, m):
         (7, 14, 20_058_300, [(13,) * 14]),
         (7, 15, 40_116_600, []),
         (8, 17, 601_080_390, []),
+        (12, 24, 16_123_801_841_550, [(23,) * 24]),
+        (12, 25, 32_247_603_683_100, []),
     ],
 )
 def test_survivor_walk_counts_dead_classes_without_enumerating_them(g, m, walked, survivors):
     # Generating the profiles that miss a factor one by one, even in C,
-    # overruns the 1 s bound at (7, 15) and (8, 17); counting each dead
-    # class by its binomial walks only the 2^(2g-1) alive prefixes.
+    # overruns the 1 s bound at (7, 15) and (8, 17), and so does walking the
+    # 2^(2g-1) prefixes of the survivors' complements at (12, 24) and
+    # (12, 25); the profiles with s < m nonzero complements are counted by
+    # C(m, s) C(2g-1, s-1) and only the survivors are generated.
     start = time.perf_counter()
     walk = _kunneth_survivors(g, m)
     assert time.perf_counter() - start < 1
