@@ -42,10 +42,10 @@ identical for identical inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -248,8 +248,39 @@ class Certificate:
 
 def certificate_to_json(cert: Certificate) -> str:
     """Deterministic JSON of the dataclass fields, whose declaration order is
-    the key order; ``vars`` reads them without copying the witnesses."""
-    return json.dumps(cert, default=vars, indent=2) + "\n"
+    the key order, written directly by ``_to_json``.  The text is byte for
+    byte ``json.dumps(cert, default=vars, indent=2) + "\\n"``, which the
+    tests keep as the oracle; that form runs the standard library's
+    pure-Python encoder, because ``indent`` turns its C encoder off."""
+    return _to_json(cert, "\n") + "\n"
+
+
+def _to_json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, default=vars, indent=2)`` writes it,
+    with ``newline`` the line break plus the current indentation.  Only what
+    that form writes the same way is accepted: a float, a non-string key or
+    an object without ``__dict__`` raises TypeError."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in value]) + newline + "]"
+    if not isinstance(value, dict):
+        return _to_json(vars(value), newline)  # a Certificate or a Step
+    if not value:
+        return "{}"
+    items = [_quote(k) + ": " + _to_json(v, inner) for k, v in value.items()]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
 def certificate_to_text(cert: Certificate) -> str:

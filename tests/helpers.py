@@ -7,12 +7,14 @@ only wedge, integrate and pullback, and against the dual-basis walk over
 the whole target graded piece that their enumeration replaced.  Orbit
 sums are expanded back into all 2^m indicator diagonals and built through
 ``cycle``.  The Kunneth survivors are re-walked flat, one size-2g
-multiset of factor positions at a time.
+multiset of factor positions at a time.  Certificates are written by the
+standard library's ``json.dumps``, the form their direct writer replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +30,12 @@ from modiag import (
 )
 from modiag.cohomology import _degree_one_images, _merge_sign, _pull_monomial
 from modiag.exact import _add_term
+
+
+def json_oracle(cert) -> str:
+    """The oracle for ``certificate_to_json``: the standard library's
+    indented encoder, reading the dataclass fields with ``vars``."""
+    return json.dumps(cert, default=vars, indent=2) + "\n"
 
 
 def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:

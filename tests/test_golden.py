@@ -13,9 +13,11 @@ or survey bytes must show up here.  Each file in GOLDEN is the stdout of
 ``python -m modiag`` with the arguments listed for it.  Each file in
 LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
 keyword arguments listed for it, pinning what the command line cannot
-reach.  The (1,3) file was written before certificates were serialized
-from their dataclasses; its ``kunneth-survivors`` and ``cohomology-shadow``
-steps are both SKIPPED.  The (2,7) file was written before the orbit-sum
+reach.  The files were written by ``json.dumps(indent=2)`` before
+certificates were written directly; that form stays the oracle in
+``helpers.json_oracle``.  The (1,3) file was written before certificates
+were serialized from their dataclasses; its ``kunneth-survivors`` and
+``cohomology-shadow`` steps are both SKIPPED.  The (2,7) file was written before the orbit-sum
 formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
 and sign rules.
 """

@@ -1,11 +1,13 @@
+import itertools
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_admissible, flat_kunneth_survivors
+from helpers import brute_admissible, flat_kunneth_survivors, json_oracle
 from modiag import (
     admissible_degrees,
     certificate_to_json,
@@ -17,7 +19,17 @@ from modiag import (
     weight_from_eigenvalue,
 )
 from modiag import grading
-from modiag.grading import ASSUMED, FAIL, LAYERS, PASS, SKIPPED, STEP_KINDS, _kunneth_survivors
+from modiag.grading import (
+    ASSUMED,
+    FAIL,
+    LAYERS,
+    PASS,
+    SKIPPED,
+    STEP_KINDS,
+    Certificate,
+    Step,
+    _kunneth_survivors,
+)
 
 
 def test_weight_examples():
@@ -255,6 +267,62 @@ def test_certificate_json_field_order():
     assert payload["schema_version"] == "1"
     for step in payload["steps"]:
         assert list(step) == ["id", "kind", "statement", "reference", "status", "witness"]
+
+
+LAYER_SUBSETS = [c for r in range(1, 4) for c in itertools.combinations(LAYERS, r)]
+
+
+@pytest.mark.parametrize("sample", [(-3, -2, 2, 3), (-1, 1, 5, -4)])
+@pytest.mark.parametrize("layers", LAYER_SUBSETS, ids=",".join)
+def test_certificate_json_matches_the_standard_encoder(layers, sample):
+    for g in range(1, 6):
+        for m in range(1, 13):
+            cert = replay_proof(g, m, layers=layers, mult_sample=sample)
+            assert certificate_to_json(cert) == json_oracle(cert), (g, m)
+
+
+def _with_witness(witness) -> Certificate:
+    step = Step("id", "kind", "statement", "reference", PASS, witness)
+    return Certificate("1", 1, 1, (step,), PASS)
+
+
+# The values a witness holds: exact integers, bools, None and strings, in
+# nested lists, tuples and string-keyed dicts.  The strings favour what the
+# encoder must escape.
+_TRICKY_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600'))
+_WITNESS_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(max_value=-(2**70))
+    | st.text()
+    | _TRICKY_TEXT
+)
+_WITNESS_VALUES = st.recursive(
+    _WITNESS_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(st.text() | _TRICKY_TEXT, _WITNESS_VALUES, max_size=4))
+def test_witness_json_matches_the_standard_encoder(witness):
+    cert = _with_witness(witness)
+    assert certificate_to_json(cert) == json_oracle(cert)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, Fraction(1, 2), {1: "int key"}, {None: "null key"}, object()],
+    ids=["float", "fraction", "int-key", "none-key", "no-dict"],
+)
+def test_certificate_json_refuses_what_the_encoder_writes_otherwise(value):
+    # json.dumps would write a float, and turn a non-string key into a
+    # string; certificates hold neither, and the writer refuses both.
+    with pytest.raises(TypeError):
+        certificate_to_json(_with_witness({"value": value}))
 
 
 def test_certificate_text_format():
