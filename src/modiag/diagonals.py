@@ -31,14 +31,18 @@ combination sum_k a_k O_k by its m+1 coefficients a_0..a_m, and both
 identities the certificate checks fold over them:
 
   mult rule         multiplication by n on every factor commutes with every
-                    permutation of the factors, so if it sends the
-                    representative D(1_{1..k}) to n^(2g) D(1_{1..k}), it
-                    sends every D(1_I) with |I| = k, and so O_k, to n^(2g)
-                    times itself.  Pushing the m representatives forward
-                    with the gcd and sign rules therefore checks the whole
-                    orbit sum.  Their images have distinct support sizes, so
-                    no two fold together and an equality of the
-                    representative cycles is an equality per orbit.
+                    permutation of the factors, so O_k goes to the sum of
+                    the permuted images of its representative D(1_{1..k}).
+                    That vector has two runs, k entries 1 and m-k entries
+                    0 (one run at k = m), and a vector has the gcd and the
+                    first nonzero entry of its run values.  So the gcd and
+                    sign rules act on the run values (n, 0) or (n,) alone:
+                    two normalizations per n, whatever m is.  An image that
+                    is the indicator of k' factors is a union of runs, and
+                    the C(m, k) sets of O_k land evenly on the C(m, k')
+                    sets of O_k', each C(m, k)/C(m, k') times.  The gcd
+                    rule gives back (1, 0) and (1,) with the factor n^(2g),
+                    so k' = k and O_k goes to n^(2g) O_k.
   contraction rule  forgetting factor j sends D(1_I) to the indicator
                     diagonal of I minus j on X^(m-1).  A set J of size k
                     among the other m-1 factors is hit exactly twice: by
@@ -289,20 +293,6 @@ def modified_diagonal_orbits(ambient: Ambient) -> OrbitCycle:
     return OrbitCycle(ambient, (0,) + tuple(-1 if (m - k) & 1 else 1 for k in range(1, m + 1)))
 
 
-def orbit_representatives(c: OrbitCycle) -> FormalCycle:
-    """One twisted diagonal per orbit: coeffs[k] * D(1, .., 1, 0, .., 0) with
-    k ones, for each k >= 1 with a nonzero coefficient.
-
-    Every operation on all factors at once commutes with permuting them, so
-    it acts on each orbit as on its representative (module docstring).
-    """
-    m = c.ambient.m
-    return FormalCycle(
-        c.ambient,
-        {(1,) * k + (0,) * (m - k): a for k, a in enumerate(c.coeffs) if a},
-    )
-
-
 def orbit_proj_pushforward(c: OrbitCycle) -> OrbitCycle:
     """Pushforward of an orbit sum along the projection forgetting any one
     factor j.
@@ -322,6 +312,36 @@ def orbit_proj_pushforward(c: OrbitCycle) -> OrbitCycle:
     # I = J misses j (size k); I = J plus j has size k + 1
     out = (0,) + tuple(a[k] + a[k + 1] for k in range(1, amb.m))
     return OrbitCycle(Ambient(amb.g, amb.m - 1), out)
+
+
+def orbit_mult_pushforward(c: OrbitCycle, n: int) -> OrbitCycle:
+    """Pushforward of an orbit sum along multiplication by n on every factor.
+
+    The representative of each orbit O_k is pushed as its run values, (n, 0)
+    for k < m and (n,) for k = m.  Each run shape is normalized once and the
+    coefficients are folded in one pass, so the work is O(m) (module
+    docstring).  The image's orbit is read from the normalized runs, never
+    assumed; an image that is no indicator is no orbit sum and raises
+    ValueError.  n follows ``mult_pushforward_all``: n = 0 raises
+    ValueError, and a bool, float, string or Fraction raises TypeError.
+    """
+    n = _as_int(n)
+    if n == 0:
+        raise ValueError("n = 0 collapses the whole product; rejected")
+    amb = c.ambient
+    m = amb.m
+    a = c.coeffs
+    out = [0] * (m + 1)
+    for shape, orbits in (((n, 0), range(1, m)), ((n,), (m,))):
+        factor, runs = normalize_twist(shape, Ambient(amb.g, len(shape)))
+        if not set(runs) <= {0, 1}:
+            raise ValueError(f"multiplication by {n} sends the runs {shape} to {runs}, no indicator")
+        for k in orbits:
+            if a[k]:
+                # runs[0] fills the first k factors, runs[-1] the other m - k
+                size = runs[0] * k + runs[-1] * (m - k)
+                out[size] += factor * a[k] * (1 if size == k else math.comb(m, k) // math.comb(m, size))
+    return OrbitCycle(amb, tuple(out))
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

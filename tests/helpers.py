@@ -6,7 +6,8 @@ pushforwards are checked against the adjunction that defines them, using
 only wedge, integrate and pullback, and against the dual-basis walk over
 the whole target graded piece that their enumeration replaced.  Orbit
 sums are expanded back into all 2^m indicator diagonals and built through
-``cycle``.  The Kunneth survivors are re-walked flat, one size-2g
+``cycle``, or written as one representative diagonal per orbit, the form
+the multiplication check used before it folded orbit coefficients.  The Kunneth survivors are re-walked flat, one size-2g
 multiset of factor positions at a time.  Certificates are written by the
 standard library's ``json.dumps``, the form their direct writer replaced.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 from modiag import (
     Ambient,
     ExtClass,
+    FormalCycle,
     cycle,
     ext_class,
     integrate,
@@ -182,3 +184,18 @@ def expand_orbits(c):
         if coeff:
             terms.append((tuple((bits >> i) & 1 for i in range(m)), coeff))
     return cycle(c.ambient, terms)
+
+
+def orbit_representatives(c) -> FormalCycle:
+    """One twisted diagonal per orbit: c.coeffs[k] * D(1, .., 1, 0, .., 0)
+    with k ones, for each k >= 1 with a nonzero coefficient.
+
+    Every operation on all factors at once commutes with permuting them, so
+    it acts on each orbit as on its representative.  The representatives'
+    images have distinct support sizes, so no two fold together.
+    """
+    m = c.ambient.m
+    return FormalCycle(
+        c.ambient,
+        {(1,) * k + (0,) * (m - k): a for k, a in enumerate(c.coeffs) if a},
+    )

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import modiag.diagonals
-from helpers import expand_orbits, random_cycle
+from helpers import expand_orbits, orbit_representatives, random_cycle
 from modiag import (
     Ambient,
     cycle,
@@ -28,8 +28,8 @@ from modiag import grading, replay_proof
 from modiag.diagonals import (
     OrbitCycle,
     modified_diagonal_orbits,
+    orbit_mult_pushforward,
     orbit_proj_pushforward,
-    orbit_representatives,
 )
 
 
@@ -369,13 +369,54 @@ def test_orbit_contraction_matches_the_expanded_pushforward(c):
         assert cycle_equal(proj_pushforward(expanded, j), expand_orbits(got))
 
 
-@given(orbit_cycles(), st.sampled_from(NONZERO_N))
-def test_orbit_representatives_carry_the_mult_identity(c, n):
-    factor = n ** (2 * c.ambient.g)
+@st.composite
+def mult_orbit_cycles(draw):
+    g = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    coeff = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
+    coeffs = draw(st.lists(coeff, min_size=m, max_size=m))
+    return OrbitCycle(Ambient(g, m), (0, *coeffs))
+
+
+@given(mult_orbit_cycles(), st.sampled_from([n for n in range(-7, 8) if n]))
+def test_orbit_mult_pushforward_matches_both_oracles(c, n):
+    # The orbit fold against the tuple calculus on one representative per
+    # orbit and on all 2^m - 1 indicator diagonals.
+    image = orbit_mult_pushforward(c, n)
+    assert image == _scaled(c, n ** (2 * c.ambient.g))
     reps = orbit_representatives(c)
-    assert len(reps.terms) == sum(1 for a in c.coeffs if a)
-    assert cycle_equal(mult_pushforward_all(reps, n), orbit_representatives(_scaled(c, factor)))
-    assert cycle_equal(mult_pushforward_all(expand_orbits(c), n), expand_orbits(_scaled(c, factor)))
+    assert cycle_equal(orbit_representatives(image), mult_pushforward_all(reps, n))
+    assert cycle_equal(expand_orbits(image), mult_pushforward_all(expand_orbits(c), n))
+
+
+def test_orbit_mult_pushforward_argument_rules():
+    orbits = modified_diagonal_orbits(Ambient(1, 3))
+    for push, c in ((orbit_mult_pushforward, orbits), (mult_pushforward_all, expand_orbits(orbits))):
+        with pytest.raises(ValueError):
+            push(c, 0)
+        for n in (True, 1.0):
+            with pytest.raises(TypeError):
+                push(c, n)
+
+
+@pytest.mark.parametrize(
+    "rewrite", [lambda v: (1,) * len(v), lambda v: tuple(1 - x for x in v)], ids=["ones", "complement"]
+)
+def test_orbit_mult_pushforward_reads_the_image_orbit_from_the_runs(monkeypatch, rewrite):
+    # A normalization that sent each indicator to another indicator moves
+    # every orbit where the tuple calculus moves its sets, C(m, k) / C(m, k')
+    # times over; the image's orbit is read from the runs, not assumed.
+    real = modiag.diagonals.normalize_twist
+    c = OrbitCycle(Ambient(1, 5), (0, 0, 3, 0, 0, 0))  # no set of O_2 is the full one
+    expanded = expand_orbits(c)
+    monkeypatch.setattr(
+        modiag.diagonals, "normalize_twist", lambda raw, amb: (real(raw, amb)[0], rewrite(real(raw, amb)[1]))
+    )
+    image = orbit_mult_pushforward(c, 2)
+    pushed = mult_pushforward_all(expanded, 2)
+    monkeypatch.undo()
+    assert image != _scaled(c, 4)
+    assert cycle_equal(expand_orbits(image), pushed)
 
 
 def test_orbit_contraction_of_a_single_orbit():
@@ -406,12 +447,42 @@ def test_contraction_witness_is_computed_from_the_orbits(monkeypatch):
 
 
 def test_mult_witness_is_computed_from_the_representatives(monkeypatch):
-    monkeypatch.setattr(grading, "mult_pushforward_all", lambda c, n: c)
+    monkeypatch.setattr(grading, "orbit_mult_pushforward", lambda c, n: c)
     cert = replay_proof(1, 4, layers=("formal",), mult_sample=(1, 2))
     assert [c["verified"] for c in cert.steps[0].witness["checks"]] == [True, False]
 
 
-@pytest.mark.parametrize("m", [20, 200])
+@pytest.mark.parametrize("runs", [(0, 1), (2, 0)], ids=["other-orbit", "no-indicator"])
+def test_mult_witness_fails_when_an_image_leaves_its_orbit(monkeypatch, runs):
+    # Under n = 1 the representatives' runs (1, 0) come back as another
+    # orbit's (the complement: O_k -> O_(5-k), which Gamma(5) does not
+    # satisfy) or as no indicator at all; neither may verify.
+    real = modiag.diagonals.normalize_twist
+    monkeypatch.setattr(
+        modiag.diagonals,
+        "normalize_twist",
+        lambda raw, amb: (1, runs) if len(raw) == 2 else real(raw, amb),
+    )
+    cert = replay_proof(1, 5, layers=("formal",), mult_sample=(1,))
+    assert [c["verified"] for c in cert.steps[0].witness["checks"]] == [False]
+    assert (cert.steps[0].status, cert.result) == ("FAIL", "FAIL")
+
+
+@pytest.mark.parametrize("m", [3, 50, 500])
+def test_formal_layer_normalizes_each_run_shape_once_per_n(monkeypatch, m):
+    # The multiplication check's work is linear in m: two normalizations per
+    # sampled n, one per run shape, whatever m is.
+    calls = []
+    real = modiag.diagonals.normalize_twist
+    monkeypatch.setattr(
+        modiag.diagonals, "normalize_twist", lambda raw, amb: calls.append(len(raw)) or real(raw, amb)
+    )
+    sample = (-3, -2, 2, 3)
+    assert replay_proof(1, m, layers=("formal",), mult_sample=sample).result == "PASS"
+    assert len(calls) <= 2 * len(sample)
+
+
+@pytest.mark.parametrize("m", [20, 200, 5000])
 def test_formal_layer_passes_at_large_m(m):
     cert = replay_proof(1, m, layers=("formal",))
     assert cert.result == "PASS"

@@ -19,7 +19,10 @@ certificates were written directly; that form stays the oracle in
 were serialized from their dataclasses; its ``kunneth-survivors`` and
 ``cohomology-shadow`` steps are both SKIPPED.  The (2,7) file was written before the orbit-sum
 formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
-and sign rules.
+and sign rules.  The formal (1,500) certificate and the formal and grading
+(3,40) certificate, whose sample holds -1, 1 and 5, were written while the
+multiplication check still pushed one representative diagonal per orbit,
+before it folded the orbit coefficients.
 """
 
 from pathlib import Path
@@ -64,6 +67,10 @@ LIBRARY_GOLDEN = {
     "replay-g1-m3-skipped.json": dict(g=1, m=3, layers=LAYERS, enum_bound=1, max_dim=5),
     "replay-g2-m7-formal-unit-sample.json": dict(
         g=2, m=7, layers=("formal",), mult_sample=(-1, 1, 5, -4)
+    ),
+    "replay-g1-m500-formal.json": dict(g=1, m=500, layers=("formal",)),
+    "replay-g3-m40-formal-grading.json": dict(
+        g=3, m=40, layers=("formal", "grading"), mult_sample=(-1, 1, 5)
     ),
 }
 
