@@ -7,8 +7,9 @@ only wedge, integrate and pullback, and against the dual-basis walk over
 the whole target graded piece that their enumeration replaced.  Orbit
 sums are expanded back into all 2^m indicator diagonals and built through
 ``cycle``, or written as one representative diagonal per orbit, the form
-the multiplication check used before it folded orbit coefficients.  The Kunneth survivors are re-walked flat, one size-2g
-multiset of factor positions at a time.  Certificates are written by the
+the multiplication check used before it folded orbit coefficients.  The
+Kunneth survivors are re-walked flat, one size-2g multiset of factor
+positions at a time.  Certificates are written by the
 standard library's ``json.dumps``, the form their direct writer replaced.
 """
 
