@@ -37,10 +37,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    max_dim_help = "bound on C(2gm, 2g), the measure of the cohomology layer's work"
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--genus", type=int, required=True, help="dimension g of the abelian variety (>= 1)")
+    common.add_argument(
+        "--max-dim",
+        type=int,
+        default=DEFAULT_MAX_DIM,
+        dest="max_dim",
+        help=(
+            "refuse the cohomology shadow when its graded dimension C(2gm, 2g)"
+            " reaches this bound; the dimension is not the shadow's work"
+        ),
+    )
 
-    verify = sub.add_parser("verify", help="replay the vanishing argument for one (g, m)")
-    verify.add_argument("--genus", type=int, required=True, help="dimension g of the abelian variety (>= 1)")
+    verify = sub.add_parser("verify", parents=[common], help="replay the vanishing argument for one (g, m)")
     verify.add_argument("--power", type=int, required=True, help="number of factors m (>= 1)")
     verify.add_argument(
         "--layers",
@@ -49,24 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--format", choices=("json", "text"), default="json", dest="format")
     verify.add_argument("--out", default=None, help="write the certificate here instead of stdout")
-    verify.add_argument(
-        "--max-dim",
-        type=int,
-        default=DEFAULT_MAX_DIM,
-        dest="max_dim",
-        help=max_dim_help,
-    )
 
-    survey = sub.add_parser("survey", help="one row per m = 1..M summarizing every layer")
-    survey.add_argument("--genus", type=int, required=True)
+    survey = sub.add_parser("survey", parents=[common], help="one row per m = 1..M summarizing every layer")
     survey.add_argument("--power-max", type=int, required=True, dest="power_max")
-    survey.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, dest="max_dim", help=max_dim_help)
     return parser
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.genus < 1:
-        parser.error(f"--genus must be >= 1, got {args.genus}")
     if args.power < 1:
         parser.error(f"--power must be >= 1, got {args.power}")
     layers = []
@@ -134,8 +133,6 @@ def _survey_row(g: int, m: int, max_dim: int) -> dict:
 
 
 def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
-    if args.genus < 1:
-        parser.error(f"--genus must be >= 1, got {args.genus}")
     if args.power_max < 1:
         parser.error(f"--power-max must be >= 1, got {args.power_max}")
     g = args.genus
@@ -157,6 +154,8 @@ def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.genus < 1:
+        parser.error(f"--genus must be >= 1, got {args.genus}")
     if args.command == "verify":
         return cmd_verify(args, parser)
     return cmd_survey(args, parser)

@@ -113,8 +113,14 @@ def graded_dimension(g: int, m: int) -> int:
 
 def _count_bounded(slots: int, total: int, cap: int) -> int:
     """Number of tuples in {0..cap}^slots with the given sum, by
-    inclusion-exclusion on entries exceeding cap."""
-    if total < 0 or cap < 0:
+    inclusion-exclusion on entries exceeding cap.  The map i -> cap - i
+    permutes {0..cap}^slots, so the sums total and slots*cap - total are
+    counted alike, and the nearer one is used: at the certificate's weight
+    2g(m-1) the reflected sums are 2g and 2g - m, a single term each."""
+    if cap < 0:
+        return 0
+    total = min(total, slots * cap - total)
+    if total < 0:
         return 0
     out = 0
     for k in range(slots + 1):
@@ -132,28 +138,40 @@ def count_admissible(g: int, m: int, nu: int) -> int:
 
 
 def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
-    """Multidegrees in {0..2g}^m of total nu, in lexicographic order."""
+    """Multidegrees in {0..2g}^m of total nu, in lexicographic order.
+
+    The least one is filled from the right.  Each next one raises the
+    rightmost entry below 2g whose tail is nonzero, and refills that tail,
+    one less, from the right.  No recursion, so m is not bounded by the
+    interpreter's stack."""
+    Ambient(g, m)  # rejects non-integers, bools and values below 1
+    nu = _as_int(nu)
     cap = 2 * g
-    prefix: list[int] = []
-
-    def rec(slots: int, rem: int) -> Iterator[MultiDegree]:
-        if slots == 0:
-            if rem == 0:
-                yield tuple(prefix)
+    if not 0 <= nu <= cap * m:
+        return
+    degree = [0] * m
+    rest = nu
+    for j in range(m - 1, -1, -1):
+        degree[j] = min(cap, rest)
+        rest -= degree[j]
+    while True:
+        yield tuple(degree)
+        tail = 0
+        for i in range(m - 1, -1, -1):
+            if tail and degree[i] < cap:
+                break
+            tail += degree[i]
+        else:
             return
-        lo = max(0, rem - cap * (slots - 1))
-        hi = min(cap, rem)
-        for value in range(lo, hi + 1):
-            prefix.append(value)
-            yield from rec(slots - 1, rem - value)
-            prefix.pop()
-
-    yield from rec(m, nu)
+        degree[i] += 1
+        tail -= 1
+        for j in range(m - 1, i, -1):
+            degree[j] = min(cap, tail)
+            tail -= degree[j]
 
 
 def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
-    Ambient(g, m)
-    return list(iter_admissible(g, m, _as_int(nu)))
+    return list(iter_admissible(g, m, nu))
 
 
 def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
@@ -380,7 +398,19 @@ def _grading_steps(
     outcome = prove_empty_pigeonhole(g, m)
     admissible_count = count_admissible(g, m, nu)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    if walk is not None:
+    if walk is None:
+        statement = (
+            f"enumeration of the {admissible_count} multidegrees of total {nu}"
+            f" exceeds the configured bound; survivors are counted analytically only"
+        )
+        reference = "bounded compositions by inclusion-exclusion"
+        status = SKIPPED
+        witness = {
+            "admissible_count": admissible_count,
+            "survivor_count": survivor_count,
+            "enumeration_bound": enum_bound,
+        }
+    else:
         walked, survivors = walk
         consistent = walked == admissible_count and len(survivors) == survivor_count
         if outcome.holds:
@@ -389,6 +419,13 @@ def _grading_steps(
             consistent = consistent and outcome.counterexample in survivors
             if m == 2 * g:
                 consistent = consistent and survivors == [(2 * g - 1,) * m]
+        statement = (
+            f"enumerate the multidegrees in {{0..{2 * g}}}^{m} of total {nu}"
+            f" and drop those with an entry {2 * g}, whose components die"
+            " under a contraction; cross-check the count analytically"
+        )
+        reference = "bounded compositions by direct enumeration and by inclusion-exclusion"
+        status = PASS if consistent else FAIL
         witness = {
             "admissible_count": admissible_count,
             "survivor_count": len(survivors),
@@ -396,74 +433,31 @@ def _grading_steps(
             "survivors": [list(s) for s in survivors[:SURVIVOR_LIST_CAP]],
             "matches_analytic": consistent,
         }
-        filter_step = Step(
-            id="kunneth-survivors",
-            kind=GRADING_FILTER,
-            statement=(
-                f"enumerate the multidegrees in {{0..{2 * g}}}^{m} of total {nu}"
-                f" and drop those with an entry {2 * g}, whose components die"
-                " under a contraction; cross-check the count analytically"
-            ),
-            reference="bounded compositions by direct enumeration and by inclusion-exclusion",
-            status=PASS if consistent else FAIL,
-            witness=witness,
-        )
-    else:
-        filter_step = Step(
-            id="kunneth-survivors",
-            kind=GRADING_FILTER,
-            statement=(
-                f"enumeration of the {admissible_count} multidegrees of total {nu}"
-                f" exceeds the configured bound; survivors are counted analytically only"
-            ),
-            reference="bounded compositions by inclusion-exclusion",
-            status=SKIPPED,
-            witness={
-                "admissible_count": admissible_count,
-                "survivor_count": survivor_count,
-                "enumeration_bound": enum_bound,
-            },
-        )
-    steps.append(filter_step)
+    steps.append(Step("kunneth-survivors", GRADING_FILTER, statement, reference, status, witness))
 
+    # The survivor count is computed in both outcomes; it is 0 for m >= 2g+1.
+    witness = {
+        "weight": nu,
+        "complement_total": outcome.complement_total,
+        "factors": m,
+        "survivor_count": survivor_count,
+    }
     if outcome.holds:
-        pigeon_step = Step(
-            id="top-degree-pigeonhole",
-            kind=PIGEONHOLE,
-            statement=(
-                f"every multidegree in {{0..{2 * g}}}^{m} of total {nu} has an entry"
-                f" {2 * g}: otherwise all {m} complements to {2 * g} would be at least 1"
-                f" while summing to {outcome.complement_total}, impossible for m >= 2g+1"
-            ),
-            reference="counting complements of a bounded composition",
-            status=PASS,
-            witness={
-                "weight": nu,
-                "complement_total": outcome.complement_total,
-                "factors": m,
-                "survivor_count": 0,
-            },
+        statement = (
+            f"every multidegree in {{0..{2 * g}}}^{m} of total {nu} has an entry"
+            f" {2 * g}: otherwise all {m} complements to {2 * g} would be at least 1"
+            f" while summing to {outcome.complement_total}, impossible for m >= 2g+1"
         )
     else:
-        pigeon_step = Step(
-            id="top-degree-pigeonhole",
-            kind=PIGEONHOLE,
-            statement=(
-                f"multidegrees of total {nu} with no entry {2 * g} exist for m <= 2g,"
-                " so the weight argument does not conclude; vanishing is not claimed"
-            ),
-            reference="counting complements of a bounded composition",
-            status=FAIL,
-            witness={
-                "weight": nu,
-                "complement_total": outcome.complement_total,
-                "factors": m,
-                "survivor_count": survivor_count,
-                "counterexample": list(outcome.counterexample),
-                "note": "no conclusion about vanishing; the argument needs m >= 2g+1",
-            },
+        statement = (
+            f"multidegrees of total {nu} with no entry {2 * g} exist for m <= 2g,"
+            " so the weight argument does not conclude; vanishing is not claimed"
         )
-    steps.append(pigeon_step)
+        witness["counterexample"] = list(outcome.counterexample)
+        witness["note"] = "no conclusion about vanishing; the argument needs m >= 2g+1"
+    reference = "counting complements of a bounded composition"
+    status = PASS if outcome.holds else FAIL
+    steps.append(Step("top-degree-pigeonhole", PIGEONHOLE, statement, reference, status, witness))
     return steps
 
 
@@ -471,55 +465,44 @@ def _cohomology_step(g: int, m: int, walk: Callable, max_dim: int) -> Step:
     """The shadow step, and the one place that decides the shadow's bound;
     ``walk()`` is read only for the survivor containment check at m <= 2g."""
     dim = graded_dimension(g, m)
+    witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
-        return Step(
-            id="cohomology-shadow",
-            kind=COHOMOLOGY_CHECK,
-            statement=(
-                f"the exterior-algebra realization would walk a graded piece of"
-                f" dimension {dim}, beyond the configured bound"
-            ),
-            reference="exterior-algebra model of H*(abelian variety)",
-            status=SKIPPED,
-            witness={"graded_dimension": dim, "max_dim": max_dim},
+        statement = (
+            f"the exterior-algebra realization would walk a graded piece of"
+            f" dimension {dim}, beyond the configured bound"
         )
-    cls = modified_diagonal_class(Ambient(g, m))
-    support = sorted(profile_support(cls))
-    top_clear = all(2 * g not in p for p in support)
-    witness: dict = {
-        "graded_dimension": dim,
-        "is_zero": cls.is_zero,
-        "support": [list(p) for p in support],
-        "top_entry_components_zero": top_clear,
-        "scope": (
+        status = SKIPPED
+        witness["max_dim"] = max_dim
+    else:
+        cls = modified_diagonal_class(Ambient(g, m))
+        support = sorted(profile_support(cls))
+        top_clear = all(2 * g not in p for p in support)
+        witness["is_zero"] = cls.is_zero
+        witness["support"] = [list(p) for p in support]
+        witness["top_entry_components_zero"] = top_clear
+        witness["scope"] = (
             "homological shadow only; the Chow-level weight argument rests on"
             " the motivic-decomposition axiom"
-        ),
-    }
-    if m >= 2 * g + 1:
-        ok = cls.is_zero
-        statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
-    else:
-        walked = walk()
-        if walked is not None:
-            contained = set(support) <= set(walked[1])
-            witness["survivor_containment"] = "verified" if contained else "violated"
-        else:
-            contained = True
-            witness["survivor_containment"] = "skipped (enumeration above bound)"
-        ok = top_clear and contained
-        statement = (
-            "the exterior-algebra realization is supported on surviving Kunneth"
-            " profiles, none containing a top entry; nonvanishing is reported, not claimed"
         )
-    return Step(
-        id="cohomology-shadow",
-        kind=COHOMOLOGY_CHECK,
-        statement=statement,
-        reference="exterior-algebra model of H*(abelian variety)",
-        status=PASS if ok else FAIL,
-        witness=witness,
-    )
+        if m >= 2 * g + 1:
+            ok = cls.is_zero
+            statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
+        else:
+            walked = walk()
+            if walked is not None:
+                contained = set(support) <= set(walked[1])
+                witness["survivor_containment"] = "verified" if contained else "violated"
+            else:
+                contained = True
+                witness["survivor_containment"] = "skipped (enumeration above bound)"
+            ok = top_clear and contained
+            statement = (
+                "the exterior-algebra realization is supported on surviving Kunneth"
+                " profiles, none containing a top entry; nonvanishing is reported, not claimed"
+            )
+        status = PASS if ok else FAIL
+    reference = "exterior-algebra model of H*(abelian variety)"
+    return Step("cohomology-shadow", COHOMOLOGY_CHECK, statement, reference, status, witness)
 
 
 def replay_proof(

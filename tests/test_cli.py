@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modiag import cli
+from modiag import cli, grading
 from modiag.cli import main
 
 
@@ -51,6 +51,9 @@ def test_verify_small_m_reports_survivors_and_exits_zero(capsys):
 
 def test_verify_rejects_genus_zero(capsys):
     code, _, err = run_cli(capsys, "verify", "--genus", "0", "--power", "2")
+    assert code == 2
+    assert "--genus" in err
+    code, _, err = run_cli(capsys, "survey", "--genus", "0", "--power-max", "2")
     assert code == 2
     assert "--genus" in err
 
@@ -244,3 +247,18 @@ def test_cli_imports_no_private_name_and_no_lower_layer():
             assert not lower & set(module.split(".")), module
         for name in names:
             assert not name.startswith("_") and name not in lower, name
+
+
+def test_each_certificate_step_is_built_by_one_step_call():
+    """Every step id in grading.py comes from exactly one ``Step(...)`` call,
+    so its kind, reference and witness schema are written once, whatever the
+    outcome."""
+    tree = ast.parse(Path(grading.__file__).read_text(encoding="utf-8"))
+    ids = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Step":
+            args = node.args[:1] + [k.value for k in node.keywords if k.arg == "id"]
+            assert len(args) == 1 and isinstance(args[0], ast.Constant), ast.dump(node)
+            ids.append(args[0].value)
+    assert sorted(ids) == sorted(s.id for s in grading.replay_proof(1, 1, layers=grading.LAYERS).steps)
+    assert len(ids) == len(set(ids)) == 7

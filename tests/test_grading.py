@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -79,9 +80,11 @@ def test_admissible_examples():
 
 
 def test_admissible_matches_brute_force():
+    # Every total from -1 to 2gm+2, so both ends of the reflection i -> 2g - i
+    # that count_admissible counts from, and the totals beyond them.
     for g in (1, 2):
-        for m in (1, 2, 3):
-            for nu in range(2 * g * m + 2):
+        for m in (1, 2, 3, 4):
+            for nu in range(-1, 2 * g * m + 3):
                 expected = brute_admissible(g, m, nu)
                 got = admissible_degrees(g, m, nu)
                 assert got == expected  # brute force product is already lex ordered
@@ -91,6 +94,13 @@ def test_admissible_matches_brute_force():
 def test_admissible_is_lex_sorted():
     out = admissible_degrees(2, 3, 7)
     assert out == sorted(out)
+
+
+@pytest.mark.parametrize("nu, degree", [(0, 0), (2400, 2)])
+def test_admissible_degrees_walks_without_recursion(nu, degree):
+    # 1200 factors are beyond the interpreter's recursion limit.
+    assert admissible_degrees(1, 1200, nu) == [(degree,) * 1200]
+    assert count_admissible(1, 1200, nu) == 1
 
 
 def test_count_admissible_large_values():
@@ -206,6 +216,19 @@ def test_replay_proof_walks_far_beyond_the_default_bound():
     assert (walk.status, walk.witness["matches_analytic"]) == (PASS, True)
     assert walk.witness["admissible_count"] == 40_116_600
     assert steps["top-degree-pigeonhole"].status == PASS
+    assert cert.result == PASS
+
+
+def test_replay_proof_counts_profiles_from_the_near_end_at_large_power():
+    # Inclusion-exclusion at the total 2(m-1) itself runs about m terms of
+    # m-digit binomials, about 30 s at m = 5000; the reflected total 2 is one.
+    start = time.perf_counter()
+    cert = replay_proof(1, 5000)
+    assert time.perf_counter() - start < 1
+    walk = next(s for s in cert.steps if s.id == "kunneth-survivors")
+    assert walk.status == SKIPPED
+    assert walk.witness["admissible_count"] == math.comb(5001, 2)
+    assert walk.witness["survivor_count"] == 0
     assert cert.result == PASS
 
 
