@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .grading import (
+    DEFAULT_LAYERS,
     DEFAULT_MAX_DIM,
     FAIL,
     FORMAL_IDENTITY,
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--power", type=int, required=True, help="number of factors m (>= 1)")
     verify.add_argument(
         "--layers",
-        default="formal,grading",
-        help=f"comma-separated subset of {','.join(LAYERS)} (default: formal,grading)",
+        default=",".join(DEFAULT_LAYERS),
+        help=f"comma-separated subset of {','.join(LAYERS)} (default: %(default)s)",
     )
     verify.add_argument("--format", choices=("json", "text"), default="json", dest="format")
     verify.add_argument("--out", default=None, help="write the certificate here instead of stdout")
@@ -68,11 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.power < 1:
         parser.error(f"--power must be >= 1, got {args.power}")
-    layers = []
-    for name in args.layers.split(","):
-        name = name.strip()
-        if name and name not in layers:
-            layers.append(name)
+    layers = [name for name in map(str.strip, args.layers.split(",")) if name]
     if not layers or any(name not in LAYERS for name in layers):
         parser.error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
     cert = replay_proof(args.genus, args.power, layers=layers, max_dim=args.max_dim)
@@ -113,23 +110,19 @@ def _accepted(cert) -> bool:
     )
 
 
-def _survey_row(g: int, m: int, max_dim: int) -> dict:
+def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
+    """The survey line for power m, and whether its certificate is accepted."""
     cert = replay_proof(g, m, layers=LAYERS, max_dim=max_dim)
     steps = {s.id: s for s in cert.steps}
-    formal_ok = all(s.status == PASS for s in cert.steps if s.kind == FORMAL_IDENTITY)
+    formal = "pass" if all(s.status == PASS for s in cert.steps if s.kind == FORMAL_IDENTITY) else "FAIL"
+    survivors = steps["kunneth-survivors"].witness["survivor_count"]
     shadow = steps["cohomology-shadow"]
     if shadow.status == SKIPPED:
         cohomology = "SKIPPED"
     else:
         cohomology = "zero" if shadow.witness["is_zero"] else "nonzero"
-    return {
-        "m": m,
-        "formal": "pass" if formal_ok else "FAIL",
-        "survivors": steps["kunneth-survivors"].witness["survivor_count"],
-        "cohomology": cohomology,
-        "prediction": "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)",
-        "consistent": _accepted(cert),
-    }
+    prediction = "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)"
+    return f"{m:>3}  {formal:<7}{survivors:>10}  {cohomology:<11}{prediction}", _accepted(cert)
 
 
 def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
@@ -141,14 +134,10 @@ def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
         f"survey g={g} power_max={args.power_max}"
         f" (the argument concludes for m >= {2 * g + 1})",
         f"{'m':>3}  {'formal':<7}{'survivors':>10}  {'cohomology':<11}{'prediction'}",
+        *(line for line, _ in rows),
     ]
-    for row in rows:
-        lines.append(
-            f"{row['m']:>3}  {row['formal']:<7}{row['survivors']:>10}"
-            f"  {row['cohomology']:<11}{row['prediction']}"
-        )
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all(row["consistent"] for row in rows) else 1
+    return 0 if all(accepted for _, accepted in rows) else 1
 
 
 def main(argv=None) -> int:

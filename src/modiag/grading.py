@@ -55,6 +55,7 @@ from .diagonals import (
     Ambient,
     OrbitCycle,
     _as_int,
+    _as_ints,
     modified_diagonal_orbits,
     orbit_mult_pushforward,
     orbit_proj_pushforward,
@@ -116,9 +117,8 @@ def _count_bounded(slots: int, total: int, cap: int) -> int:
     inclusion-exclusion on entries exceeding cap.  The map i -> cap - i
     permutes {0..cap}^slots, so the sums total and slots*cap - total are
     counted alike, and the nearer one is used: at the certificate's weight
-    2g(m-1) the reflected sums are 2g and 2g - m, a single term each."""
-    if cap < 0:
-        return 0
+    2g(m-1) the reflected sums are 2g and 2g - m, a single term each.
+    Every caller passes cap = 2g or 2g - 1, so cap >= 1."""
     total = min(total, slots * cap - total)
     if total < 0:
         return 0
@@ -535,12 +535,11 @@ def replay_proof(
     unknown = layer_set - set(LAYERS)
     if unknown or not layer_set:
         raise ValueError(f"layers must be a nonempty subset of {LAYERS}")
-    sample = []
-    for n in mult_sample:  # a bool or a non-integer enters as 0 and is rejected
-        try:
-            sample.append(_as_int(n))
-        except TypeError:
-            sample.append(0)
+    sample = tuple(mult_sample)
+    try:
+        sample = _as_ints(sample)
+    except TypeError:  # a bool or a non-integer
+        sample = ()
     if not sample or 0 in sample:
         raise ValueError("the multiplication sample must be nonzero integers")
     enum_bound, max_dim = _as_int(enum_bound), _as_int(max_dim)

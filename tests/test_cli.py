@@ -58,6 +58,19 @@ def test_verify_rejects_genus_zero(capsys):
     assert "--genus" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--genus", "1", "--power", "0"), "--power"),
+        (("survey", "--genus", "1", "--power-max", "0"), "--power-max"),
+    ],
+)
+def test_power_below_one_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} must be >= 1, got 0" in err
+
+
 def test_verify_rejects_bad_layers(capsys):
     code, _, _ = run_cli(capsys, "verify", "--genus", "1", "--power", "2", "--layers", "nonsense")
     assert code == 2

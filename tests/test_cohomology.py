@@ -13,6 +13,7 @@ from helpers import (
 )
 from modiag import (
     Ambient,
+    LinearMap,
     admissible_degrees,
     block_profile,
     class_of_cycle,
@@ -313,6 +314,33 @@ NON_INTEGERS = [2.5, 2.0, "3", True]
 def test_map_data_and_profiles_must_be_integers(build, bad):
     with pytest.raises(TypeError):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: diagonal_map(()),
+        lambda: projection_map(3, ()),
+        lambda: projection_map(3, (4,)),
+        lambda: projection_map(3, (2, 1)),
+        lambda: drop_factor_map(1, 1),
+        lambda: scaling_map(()),
+        lambda: gen_position(E2, 3, 1),
+        lambda: gen_position(E2, 1, 3),
+        lambda: pullback(LinearMap("bogus", 1, 1, (1,)), unit(E1)),
+        lambda: pullback(diagonal_map((1, 1)), unit(E1)),
+        lambda: pushforward(diagonal_map((1, 1)), unit(E2)),
+        lambda: class_of_twist((1, 1), Ambient(1, 3)),
+    ],
+)
+def test_maps_positions_and_classes_reject_out_of_range_data(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_drop_factor_map_index_must_name_a_factor():
+    with pytest.raises(IndexError):
+        drop_factor_map(3, 4)
 
 
 def test_kunneth_components_sum_back():

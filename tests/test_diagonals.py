@@ -121,6 +121,13 @@ def test_cycle_constructor_folds_equivalent_keys():
     assert c.is_zero
 
 
+def test_cycle_constructor_drops_zero_coefficients():
+    amb = Ambient(1, 2)
+    assert cycle(amb, {(1, 1): 0, (1, 0): 2}) == cycle(amb, {(1, 0): 2})
+    # a zero coefficient is dropped before its vector is normalized
+    assert cycle(amb, {(0, 0): 0}).is_zero
+
+
 def test_modified_diagonal_m1():
     md = modified_diagonal(Ambient(2, 1))
     assert md.terms == {(1,): Fraction(1)}

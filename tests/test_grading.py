@@ -364,6 +364,15 @@ def test_enumeration_bound_skips_without_silence():
     assert cert.result == PASS
 
 
+def test_shadow_below_threshold_passes_when_the_walk_is_skipped():
+    cert = replay_proof(1, 2, layers=LAYERS, enum_bound=1)
+    steps = {s.id: s for s in cert.steps}
+    assert steps["kunneth-survivors"].status == SKIPPED
+    shadow = steps["cohomology-shadow"]
+    assert shadow.status == PASS
+    assert shadow.witness["survivor_containment"] == "skipped (enumeration above bound)"
+
+
 def test_cohomology_bound_skips_without_silence():
     cert = replay_proof(1, 3, layers=("formal", "grading", "cohomology"), max_dim=5)
     shadow = next(s for s in cert.steps if s.kind == "COHOMOLOGY_CHECK")
