@@ -145,9 +145,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.genus < 1:
         parser.error(f"--genus must be >= 1, got {args.genus}")
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    return cmd_survey(args, parser)
+    # Certificates state exact integers such as n^(2g), which can pass
+    # Python's int-to-text digit limit; parsing above keeps the limit.
+    # Python 3.10 before 3.10.7 has no such limit.
+    old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.command == "verify":
+            return cmd_verify(args, parser)
+        return cmd_survey(args, parser)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

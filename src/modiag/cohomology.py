@@ -372,32 +372,32 @@ def modified_diagonal_class(ambient: Ambient) -> ExtClass:
     The term of a map kappa: {1..2g} -> {1..m} is c(image) * pi_kappa times
     the monomial of every generator outside the transversal e[kappa(k), k]
     (see the module docstring).  Only images with c != 0 are expanded, and
-    the maps onto such an image are enumerated directly.
+    the maps onto such an image are walked from a stack, with no recursion.
     """
     g, m = ambient.g, ambient.m
     two_g = 2 * g
     top = (1 << (two_g * m)) - 1
     out: dict = {}
-
-    def expand(image, c: int, k: int, b: int, inversions: int, unhit: int) -> None:
-        # kappa(1..k) is fixed; b is its transversal and unhit the image
-        # blocks not yet reached, which must fit in the 2g - k columns left.
-        if unhit.bit_count() > two_g - k:
-            return
-        if k == two_g:
-            # b determines kappa, so no monomial is written twice.
-            out[top ^ b] = -c if inversions & 1 else c
-            return
-        for j in image:
-            # Columns before k already placed in a later block are inverted.
-            later = (b >> ((j + 1) * two_g)).bit_count()
-            expand(image, c, k + 1, b | 1 << (j * two_g + k), inversions + later, unhit & ~(1 << j))
-
     for size in range(1, min(two_g, m) + 1):
         c = _image_coefficient(m, size)
-        if c:
-            for image in itertools.combinations(range(m), size):
-                expand(image, c, 0, 0, 0, sum(1 << j for j in image))
+        if not c:
+            continue
+        for image in itertools.combinations(range(m), size):
+            # An entry fixes kappa(1..k): b is its transversal, odd its inversion parity and
+            # unhit the image blocks not yet reached, which a child must fit in its columns left.
+            stack = [(0, 0, 0, sum(1 << j for j in image))]
+            while stack:
+                k, b, odd, unhit = stack.pop()
+                if k == two_g:
+                    # b determines kappa, so no monomial is written twice.
+                    out[top ^ b] = -c if odd else c
+                    continue
+                for j in image:
+                    rest = unhit & ~(1 << j)
+                    if rest.bit_count() < two_g - k:
+                        # Columns before k already placed in a later block are inverted.
+                        later = (b >> ((j + 1) * two_g)).bit_count()
+                        stack.append((k + 1, b | 1 << (j * two_g + k), odd ^ (later & 1), rest))
     return ExtClass(ambient, out)
 
 

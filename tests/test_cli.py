@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -105,6 +106,46 @@ def test_verify_refusal_is_one_stderr_line_and_no_output(tmp_path, capsys, argv,
     code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
     assert (code, out, err) == (2, "", message)
     assert not target.exists()
+
+
+LAYER_SUBSETS = [
+    ",".join(subset)
+    for size in range(1, len(grading.LAYERS) + 1)
+    for subset in itertools.combinations(grading.LAYERS, size)
+]
+
+
+def digit_limit():
+    # Python 3.10 before 3.10.7 has no int-to-text digit limit.
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_verify_finishes_or_refuses_at_large_genus(capsys):
+    # The shadow's 2g columns pass the recursion limit from g = 495.  The
+    # certificate's exact integers pass the digit limit from g = 4507 at m = 2
+    # (n^(2g)) and from g = 2594 at m = 3 (C(2gm, 2g)); the command line leaves
+    # that limit as it found it.
+    limit = digit_limit()
+    for g, m, layers in itertools.product((1, 3, 600, 2600, 4600), (1, 2, 3, 7), LAYER_SUBSETS):
+        code = main(["verify", "--genus", str(g), "--power", str(m), "--layers", layers])
+        capsys.readouterr()
+        assert code in (0, 1, 2), (g, m, layers)
+        assert digit_limit() == limit
+
+
+def test_verify_states_an_exact_factor_past_the_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--genus", "5000", "--power", "2", "--layers", "formal")
+    assert code == 0
+    limit = digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        factor = str(3 ** 10000)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(factor) > 4300
+    assert f'"factor": {factor},' in out
 
 
 def test_verify_shadow_at_first_vanishing_power_g3(capsys):

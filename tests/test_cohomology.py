@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from modiag import (
     zero_class,
 )
 from modiag.cohomology import _image_coefficient
+from modiag.grading import LAYERS, PASS, replay_proof
 
 E1 = Ambient(1, 1)
 E2 = Ambient(1, 2)
@@ -473,6 +475,15 @@ def test_modified_diagonal_class_cancels_beyond_threshold(g):
     for m in range(2 * g + 1, 2 * g + 4):
         assert all(_image_coefficient(m, size) == 0 for size in range(1, 2 * g + 1))
         assert modified_diagonal_class(Ambient(g, m)).is_zero
+
+
+def test_modified_diagonal_class_walks_without_recursion():
+    # 2g = 1200 columns are beyond the interpreter's recursion limit.
+    assert sys.getrecursionlimit() < 1200
+    assert modified_diagonal_class(Ambient(600, 1)).terms == {0: 1}
+    cert = replay_proof(600, 1, layers=LAYERS)
+    shadow = next(s for s in cert.steps if s.id == "cohomology-shadow")
+    assert shadow.status == PASS and not shadow.witness["is_zero"]
 
 
 def column_product_class(v, amb):
