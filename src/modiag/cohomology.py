@@ -35,7 +35,9 @@ factors, and blockwise multiplication by integers.
 
 The modified diagonal has a closed form, ``modified_diagonal_class``.  The
 pushforward (``class_of_twist`` and ``class_of_cycle``) is kept as its
-test oracle and is not on the certificate path.
+test oracle.  Neither is on the certificate path: the certificate reads the
+support from the closed form below, with ``_image_coefficient`` for c(S),
+and builds no term (``grading._shadow_support``).
 
 Along the diagonal of v the only monomials of degree 2g with a nonzero
 pullback are the transversals: one generator e[kappa(k),k] from each

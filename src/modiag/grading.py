@@ -32,8 +32,14 @@ certificate with one step per move:
      one tuple per survivor plus at most 2g binomials.  The profiles
      counted total ``count_admissible(g, m, 2g(m-1))``, which ``enum_bound``
      bounds from above and the certificate cross-checks;
-  6. optionally, the exterior-algebra realization is computed as an
-     independent shadow of the same conclusion.
+  6. optionally, the exterior-algebra realization is read as an
+     independent shadow of the same conclusion, from its closed form
+     (``cohomology`` docstring) and without building a term: the maps onto
+     an image S carry c(S), computed for each image size, and an image with
+     c != 0 gives one profile per composition of 2g into |S| positive parts.
+     Only S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
+     otherwise supported on C(2g-1, m-1) profiles, each checked against the
+     definition of a survivor rather than against the list of step 5.
 
 For m <= 2g the pigeonhole step reports its counterexample and the
 certificate makes no claim about vanishing; nothing is overstated in
@@ -44,13 +50,12 @@ identical for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .cohomology import modified_diagonal_class, profile_support
+from .cohomology import _image_coefficient
 from .diagonals import (
     Ambient,
     OrbitCycle,
@@ -107,8 +112,9 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
 
 def graded_dimension(g: int, m: int) -> int:
     """C(2gm, 2g), the measure by which ``max_dim`` bounds the cohomology
-    shadow.  It bounds the closed form soundly: the shadow expands one term
-    per map {1..2g} -> {1..m}, and m^(2g) <= C(2gm, 2g)."""
+    shadow.  It bounds the shadow's work soundly: the shadow writes one
+    profile per composition of 2g into m positive parts, and
+    C(2g-1, m-1) <= C(2gm, 2g)."""
     return comb(2 * g * m, 2 * g)
 
 
@@ -182,6 +188,17 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
     return [d for d in degrees if top not in d]
 
 
+def _compositions(total: int, parts: int) -> Iterator[MultiDegree]:
+    """The compositions of total into parts positive parts, in descending
+    lexicographic order: stars and bars, with cut points 0 < S_1 < ... <
+    S_(parts-1) < total for the partial sums.  Cut tuples and compositions
+    order alike, so the cuts are taken in descending lexicographic order.
+    There are C(total-1, parts-1) of them, none for parts > total."""
+    for cuts in reversed(list(combinations(range(1, total), parts - 1))):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     """Count the multidegrees of total 2g(m-1) and list those with no entry 2g.
 
@@ -190,28 +207,19 @@ def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     exactly s nonzero complements is a choice of those s factors, C(m, s)
     ways, times a composition of 2g into s positive parts, C(2g-1, s-1)
     ways, so every class with s < m is counted in closed form and none is
-    generated.  The survivors, s = m, are the compositions of 2g into m
-    positive parts: stars and bars, with cut points 0 < S_1 < ... <
-    S_(m-2) < 2g-1 for the partial sums of the first m-2 complements, and
-    the last two factors splitting the rest.  For m >= 2g+1 there are no
-    such cuts, so the empty survivor list is enumerated, not assumed.  The
-    work is one tuple per survivor plus at most 2g binomials.
+    generated.  The survivors, s = m, are 2g minus the compositions of 2g
+    into m positive parts; for m >= 2g+1 there are none, so the empty
+    survivor list is enumerated, not assumed.  The work is one tuple per
+    survivor plus at most 2g binomials.
 
     The first result, the number of profiles counted, cross-checks the
-    partition by s against ``count_admissible(g, m, 2g(m-1))``.  Cuts are
-    taken in descending lexicographic order, and so are the complements, so
-    survivors come out in the lexicographic order of
+    partition by s against ``count_admissible(g, m, 2g(m-1))``.  The
+    compositions come in descending lexicographic order, so survivors come
+    out in the lexicographic order of
     ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``.
     """
     top = 2 * g
-    if m == 1:
-        return 1, [(0,)]  # the one factor takes every slot
-    survivors: list[MultiDegree] = []
-    for cuts in reversed(list(combinations(range(1, top - 1), m - 2))):
-        bounds = (0,) + cuts
-        prefix = tuple(top - b + a for a, b in zip(bounds, cuts))
-        r = top - bounds[-1]
-        survivors += [prefix + (top - c, top - r + c) for c in range(r - 1, 0, -1)]
+    survivors = [tuple(top - c for c in comp) for comp in _compositions(top, m)]
     missed = sum(comb(m, s) * comb(top - 1, s - 1) for s in range(1, min(m - 1, top) + 1))
     return len(survivors) + missed, survivors
 
@@ -353,9 +361,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
     return [mult_step, contraction_step]
 
 
-def _grading_steps(
-    g: int, m: int, walk: tuple[int, list[MultiDegree]] | None, enum_bound: int
-) -> list[Step]:
+def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
     steps = [
         Step(
             id="motivic-decomposition",
@@ -398,7 +404,7 @@ def _grading_steps(
     outcome = prove_empty_pigeonhole(g, m)
     admissible_count = count_admissible(g, m, nu)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    if walk is None:
+    if admissible_count > enum_bound:
         statement = (
             f"enumeration of the {admissible_count} multidegrees of total {nu}"
             f" exceeds the configured bound; survivors are counted analytically only"
@@ -411,7 +417,7 @@ def _grading_steps(
             "enumeration_bound": enum_bound,
         }
     else:
-        walked, survivors = walk
+        walked, survivors = _kunneth_survivors(g, m)
         consistent = walked == admissible_count and len(survivors) == survivor_count
         if outcome.holds:
             consistent = consistent and not survivors
@@ -461,9 +467,37 @@ def _grading_steps(
     return steps
 
 
-def _cohomology_step(g: int, m: int, walk: Callable, max_dim: int) -> Step:
-    """The shadow step, and the one place that decides the shadow's bound;
-    ``walk()`` is read only for the survivor containment check at m <= 2g."""
+def _shadow_support(g: int, m: int) -> list[MultiDegree]:
+    """The sorted Kunneth support of [Gamma(m)], read from its closed form.
+
+    A map kappa onto an image S writes c(S) * pi_kappa on its own monomial,
+    whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
+    docstring).  So an image size with c = 0 writes nothing, and each image
+    with c != 0 carries one profile per composition of 2g into |S| positive
+    parts, the fibre sizes.  The profile determines S, so no two images
+    share one."""
+    top = 2 * g
+    support = []
+    for size in range(1, min(top, m) + 1):
+        if not _image_coefficient(m, size):
+            continue
+        for image in combinations(range(m), size):
+            for comp in _compositions(top, size):
+                fibre = dict(zip(image, comp))
+                support.append(tuple(top - fibre.get(j, 0) for j in range(m)))
+    return sorted(support)
+
+
+def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
+    """The shadow step, and the one place that decides the shadow's bound.
+
+    Computed: c(S) for each image size, by ``_image_coefficient``, and the
+    placement of each composition of 2g on its image, by ``_shadow_support``.
+    By construction: each map kappa writes its own monomial, so no component
+    cancels, and the class is zero exactly when its support is empty; no
+    term of the class is built.  At m <= 2g each profile of the support is
+    checked against the definition of a survivor, total 2g(m-1) and every
+    entry in 0..2g-1, not against the grading layer's list."""
     dim = graded_dimension(g, m)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
@@ -474,27 +508,23 @@ def _cohomology_step(g: int, m: int, walk: Callable, max_dim: int) -> Step:
         status = SKIPPED
         witness["max_dim"] = max_dim
     else:
-        cls = modified_diagonal_class(Ambient(g, m))
-        support = sorted(profile_support(cls))
-        top_clear = all(2 * g not in p for p in support)
-        witness["is_zero"] = cls.is_zero
+        top = 2 * g
+        support = _shadow_support(g, m)
+        top_clear = all(top not in p for p in support)
+        witness["is_zero"] = not support
         witness["support"] = [list(p) for p in support]
         witness["top_entry_components_zero"] = top_clear
         witness["scope"] = (
             "homological shadow only; the Chow-level weight argument rests on"
             " the motivic-decomposition axiom"
         )
-        if m >= 2 * g + 1:
-            ok = cls.is_zero
+        if m > top:
+            ok = not support
             statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
         else:
-            walked = walk()
-            if walked is not None:
-                contained = set(support) <= set(walked[1])
-                witness["survivor_containment"] = "verified" if contained else "violated"
-            else:
-                contained = True
-                witness["survivor_containment"] = "skipped (enumeration above bound)"
+            nu = top * (m - 1)
+            contained = all(sum(p) == nu and all(0 <= i < top for i in p) for p in support)
+            witness["survivor_containment"] = "verified" if contained else "violated"
             ok = top_clear and contained
             statement = (
                 "the exterior-algebra realization is supported on surviving Kunneth"
@@ -524,11 +554,13 @@ def replay_proof(
     overruns surface as SKIPPED steps, never as silent truncation.  Both
     bounds follow ``_as_int``: a bool, float or string raises TypeError.
 
-    ``enum_bound`` gates the Kunneth walk by ``count_admissible``, the
-    number of profiles the walk counts.  That is a sound upper bound on
-    its work but a loose one, since the profiles that miss a factor are
-    counted in closed form: at (7, 15) the default bound SKIPs 40,116,600
-    profiles that the walk covers with a sum of 14 binomial products.
+    ``enum_bound`` gates only the Kunneth walk of the ``kunneth-survivors``
+    step, by ``count_admissible``, the number of profiles the walk counts.
+    That is a sound upper bound on its work but a loose one, since the
+    profiles that miss a factor are counted in closed form: at (7, 15) the
+    default bound SKIPs 40,116,600 profiles that the walk covers with a sum
+    of 14 binomial products.  The shadow reads neither the walk nor this
+    bound.
     """
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)
@@ -544,21 +576,13 @@ def replay_proof(
         raise ValueError("the multiplication sample must be nonzero integers")
     enum_bound, max_dim = _as_int(enum_bound), _as_int(max_dim)
 
-    @cache
-    def walk() -> tuple[int, list[MultiDegree]] | None:
-        # The Kunneth walk at weight 2g(m-1), done at most once and only if a
-        # step reads it; None above enum_bound.
-        if count_admissible(g, m, 2 * g * (m - 1)) > enum_bound:
-            return None
-        return _kunneth_survivors(g, m)
-
     steps: list[Step] = []
     if "formal" in layer_set:
         steps.extend(_formal_steps(g, m, sample))
     if "grading" in layer_set:
-        steps.extend(_grading_steps(g, m, walk(), enum_bound))
+        steps.extend(_grading_steps(g, m, enum_bound))
     if "cohomology" in layer_set:
-        steps.append(_cohomology_step(g, m, walk, max_dim))
+        steps.append(_cohomology_step(g, m, max_dim))
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)

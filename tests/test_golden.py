@@ -8,9 +8,12 @@ certificates at (4,8), (4,9), (5,10) and (5,11) before the Kunneth
 survivors were walked as complement multisets, and the formal and grading
 certificates at (1,16) and (1,18) before the formal identities were checked
 on orbit sums, and the formal and grading certificates at (5,6) and (6,5)
-before the survivor walk went factor by factor; any change to certificate
-or survey bytes must show up here.  Each file in GOLDEN is the stdout of
-``python -m modiag`` with the arguments listed for it.  Each file in
+before the survivor walk went factor by factor, and the all-layer
+certificates at (3,6) and (3,7), and at (4,5) to (4,9) with the shadow's
+bound raised, before the shadow read its support from compositions; any
+change to certificate or survey bytes must show up here.  Each file in
+GOLDEN is the stdout of ``python -m modiag`` with the arguments listed for
+it.  Each file in
 LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
 keyword arguments listed for it, pinning what the command line cannot
 reach.  The files were written by ``json.dumps(indent=2)`` before
@@ -44,7 +47,7 @@ def _verify(g: int, m: int, *extra: str, layers: str = ALL_LAYERS) -> tuple[str,
 GOLDEN = {
     **{f"verify-g1-m{m}.json": _verify(1, m) for m in range(1, 5)},
     **{f"verify-g2-m{m}.json": _verify(2, m) for m in range(1, 7)},
-    **{f"verify-g3-m{m}.json": _verify(3, m) for m in range(1, 6)},
+    **{f"verify-g3-m{m}.json": _verify(3, m) for m in range(1, 8)},
     "verify-g1-m10.json": _verify(1, 10),
     **{f"verify-g1-m{m}.json": _verify(1, m, layers="formal,grading") for m in (16, 18)},
     "verify-g2-m7.json": _verify(2, 7),
@@ -56,6 +59,12 @@ GOLDEN = {
     **{
         f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
         for g, m in ((4, 8), (4, 9), (5, 10), (5, 11), (5, 6), (6, 5))
+    },
+    # All layers at g = 4 up to the first vanishing power, with the shadow's
+    # bound raised past its graded dimension.
+    **{
+        f"verify-g4-m{m}-shadow.json": _verify(4, m, "--max-dim", "100000000000000")
+        for m in range(5, 10)
     },
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import brute_admissible, flat_kunneth_survivors, json_oracle
 from modiag import (
+    Ambient,
     admissible_degrees,
     certificate_to_json,
     certificate_to_text,
     count_admissible,
     filter_top,
+    modified_diagonal_class,
+    profile_support,
     prove_empty_pigeonhole,
     replay_proof,
     weight_from_eigenvalue,
@@ -364,13 +368,15 @@ def test_enumeration_bound_skips_without_silence():
     assert cert.result == PASS
 
 
-def test_shadow_below_threshold_passes_when_the_walk_is_skipped():
+def test_shadow_containment_is_verified_when_the_walk_is_skipped():
+    # enum_bound gates only the survivor walk; the shadow checks its support
+    # against the definition of a survivor, whatever the bound.
     cert = replay_proof(1, 2, layers=LAYERS, enum_bound=1)
     steps = {s.id: s for s in cert.steps}
     assert steps["kunneth-survivors"].status == SKIPPED
     shadow = steps["cohomology-shadow"]
     assert shadow.status == PASS
-    assert shadow.witness["survivor_containment"] == "skipped (enumeration above bound)"
+    assert shadow.witness["survivor_containment"] == "verified"
 
 
 def test_cohomology_bound_skips_without_silence():
@@ -388,6 +394,54 @@ def test_cohomology_step_consistent_for_small_m():
     assert shadow.witness["is_zero"] is False
     assert shadow.witness["survivor_containment"] == "verified"
     assert shadow.witness["support"] == [[1, 3], [2, 2], [3, 1]]
+
+
+@pytest.mark.parametrize("total", range(1, 7))
+@pytest.mark.parametrize("parts", range(1, 8))
+def test_compositions_are_stars_and_bars_in_descending_order(total, parts):
+    brute = [c for c in itertools.product(range(1, total + 1), repeat=parts) if sum(c) == total]
+    assert list(grading._compositions(total, parts)) == sorted(brute, reverse=True)
+
+
+SHADOW_ORACLE_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 3)] + [
+    (4, m) for m in (3, 4, 7, 8)
+]
+
+
+@pytest.mark.parametrize("g,m", SHADOW_ORACLE_CASES)
+def test_shadow_support_matches_the_closed_form_class(g, m):
+    cls = modified_diagonal_class(Ambient(g, m))
+    assert grading._shadow_support(g, m) == sorted(profile_support(cls))
+
+
+def test_shadow_builds_no_class_and_reads_no_survivor_walk(monkeypatch):
+    # Building the class at (6, 12) would take 479M terms; the support comes
+    # from compositions and is checked against the survivor definition.
+    def refuse(*args):
+        raise AssertionError("the shadow step must not call this")
+
+    for name, module in list(sys.modules.items()):
+        if name == "modiag" or name.startswith("modiag."):
+            for attr in ("modified_diagonal_class", "_kunneth_survivors"):
+                monkeypatch.setattr(module, attr, refuse, raising=False)
+    for g in range(1, 7):
+        for m in range(1, 2 * g + 2):
+            shadow = replay_proof(g, m, layers=("cohomology",), max_dim=10**80).steps[0]
+            assert shadow.status == PASS
+            assert len(shadow.witness["support"]) == math.comb(2 * g - 1, m - 1)
+            assert shadow.witness["is_zero"] is (m > 2 * g)
+
+
+@pytest.mark.parametrize(
+    "m,support,containment",
+    [(3, [(3, 3, 3)], "violated"), (3, [(1, 3, 4)], "violated"), (5, [(4, 4, 4, 4, 0)], None)],
+    ids=["off-weight", "top-entry", "beyond-threshold"],
+)
+def test_shadow_step_fails_on_a_support_that_is_no_survivor(monkeypatch, m, support, containment):
+    monkeypatch.setattr(grading, "_shadow_support", lambda g, m: support)
+    shadow = replay_proof(2, m, layers=("cohomology",)).steps[0]
+    assert shadow.status == FAIL
+    assert shadow.witness.get("survivor_containment") == containment
 
 
 @pytest.mark.parametrize(
