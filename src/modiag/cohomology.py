@@ -36,8 +36,8 @@ factors, and blockwise multiplication by integers.
 The modified diagonal has a closed form, ``modified_diagonal_class``.  The
 pushforward (``class_of_twist`` and ``class_of_cycle``) is kept as its
 test oracle.  Neither is on the certificate path: the certificate reads the
-support from the closed form below, with ``_image_coefficient`` for c(S),
-and builds no term (``grading._shadow_support``).
+support from the closed form below, walking the same images with c(S) != 0
+(``_live_images``), and builds no term (``grading._shadow_support``).
 
 Along the diagonal of v the only monomials of degree 2g with a nonzero
 pullback are the transversals: one generator e[kappa(k),k] from each
@@ -70,12 +70,16 @@ to g(m-1)(m-2)/2 modulo 2.
 
 Gamma(m) sums D(v) over the indicator vectors of nonempty I in {1..m} with
 sign (-1)^(m-|I|), so the term of kappa picks up c(S) = sum over I ⊇ S of
-(-1)^(m-|I|), S the image of kappa.  That sum is 1 for S = {1..m} and 0
-otherwise, and it is computed for every image size up to 2g rather than
-assumed.  Hence [Gamma(m)] is the sum of pi_kappa * (T - b_kappa) over the
-maps kappa onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology
-(Beauville 1986; Deninger-Murre 1991), and otherwise m! S(2g, m) terms of
-coefficient +-1 supported on the profiles (2g - |kappa^-1(j)|)_j.
+(-1)^(m-|I|), S the image of kappa.  Grouped by factor, it is the product
+over the m - |S| factors outside S of (+1 when the factor is in I) + (-1
+when it is not), so it is 1 for S = {1..m} and 0 otherwise.
+``_live_images`` computes that product once for every image size up to
+min(2g, m) rather than assuming it, and yields the images with c != 0;
+the closed form and the certificate's support both walk them.  Hence
+[Gamma(m)] is the sum of pi_kappa * (T - b_kappa) over the maps kappa
+onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology (Beauville
+1986; Deninger-Murre 1991), and otherwise m! S(2g, m) terms of coefficient
++-1 supported on the profiles (2g - |kappa^-1(j)|)_j.
 """
 
 from __future__ import annotations
@@ -83,8 +87,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient
 from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
@@ -357,15 +360,24 @@ def class_of_cycle(c: FormalCycle) -> ExtClass:
     return ExtClass(c.ambient, out)
 
 
-def _image_coefficient(m: int, size: int) -> int:
-    """c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|), for any |S| = size.
+def _live_images(g: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The images S of maps {1..2g} -> {1..m} with c(S) != 0, each as (c(S), S).
 
-    The supersets of S are S plus a subset of its complement, so they are
-    counted by size, C(m - size, t) of size size + t.  The sum is computed,
-    not asserted: it is 1 for S = {1..m} and cancels to 0 otherwise.
+    c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|).  Grouped by factor, it
+    is the product over the m - |S| factors outside S of (+1 when the factor
+    is in I) + (-1 when it is not), so it is computed once per image size,
+    exactly, in O(m) small-int steps and with no binomial.  The sum is
+    computed, not asserted: it is 1 for S = {1..m} and cancels to 0
+    otherwise.  Images come in increasing size, each size in
+    lexicographic order.
     """
-    rest = m - size
-    return sum((-1) ** (rest - t) * comb(rest, t) for t in range(rest + 1))
+    for size in range(1, min(2 * g, m) + 1):
+        c = 1
+        for _ in range(m - size):
+            c *= (+1) + (-1)
+        if c:
+            for image in itertools.combinations(range(m), size):
+                yield c, image
 
 
 def modified_diagonal_class(ambient: Ambient) -> ExtClass:
@@ -380,26 +392,22 @@ def modified_diagonal_class(ambient: Ambient) -> ExtClass:
     two_g = 2 * g
     top = (1 << (two_g * m)) - 1
     out: dict = {}
-    for size in range(1, min(two_g, m) + 1):
-        c = _image_coefficient(m, size)
-        if not c:
-            continue
-        for image in itertools.combinations(range(m), size):
-            # An entry fixes kappa(1..k): b is its transversal, odd its inversion parity and
-            # unhit the image blocks not yet reached, which a child must fit in its columns left.
-            stack = [(0, 0, 0, sum(1 << j for j in image))]
-            while stack:
-                k, b, odd, unhit = stack.pop()
-                if k == two_g:
-                    # b determines kappa, so no monomial is written twice.
-                    out[top ^ b] = -c if odd else c
-                    continue
-                for j in image:
-                    rest = unhit & ~(1 << j)
-                    if rest.bit_count() < two_g - k:
-                        # Columns before k already placed in a later block are inverted.
-                        later = (b >> ((j + 1) * two_g)).bit_count()
-                        stack.append((k + 1, b | 1 << (j * two_g + k), odd ^ (later & 1), rest))
+    for c, image in _live_images(g, m):
+        # An entry fixes kappa(1..k): b is its transversal, odd its inversion parity and
+        # unhit the image blocks not yet reached, which a child must fit in its columns left.
+        stack = [(0, 0, 0, sum(1 << j for j in image))]
+        while stack:
+            k, b, odd, unhit = stack.pop()
+            if k == two_g:
+                # b determines kappa, so no monomial is written twice.
+                out[top ^ b] = -c if odd else c
+                continue
+            for j in image:
+                rest = unhit & ~(1 << j)
+                if rest.bit_count() < two_g - k:
+                    # Columns before k already placed in a later block are inverted.
+                    later = (b >> ((j + 1) * two_g)).bit_count()
+                    stack.append((k + 1, b | 1 << (j * two_g + k), odd ^ (later & 1), rest))
     return ExtClass(ambient, out)
 
 

@@ -35,8 +35,10 @@ certificate with one step per move:
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
-     an image S carry c(S), computed for each image size, and an image with
-     c != 0 gives one profile per composition of 2g into |S| positive parts.
+     an image S carry c(S), a product over the factors outside S computed
+     once for each image size, and each image with c != 0
+     (``cohomology._live_images``) gives one profile per composition of 2g
+     into |S| positive parts.
      Only S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
      otherwise supported on C(2g-1, m-1) profiles, each checked against the
      definition of a survivor rather than against the list of step 5.
@@ -55,7 +57,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
 
-from .cohomology import _image_coefficient
+from .cohomology import _live_images
 from .diagonals import (
     Ambient,
     OrbitCycle,
@@ -112,8 +114,9 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
 
 def graded_dimension(g: int, m: int) -> int:
     """C(2gm, 2g), the measure by which ``max_dim`` bounds the cohomology
-    shadow.  It bounds the shadow's work soundly: the shadow writes one
-    profile per composition of 2g into m positive parts, and
+    shadow.  It bounds the shadow's work soundly, if loosely: that work is
+    at most min(2g, m) products of at most m - 1 factors, for c(S), plus one
+    profile per composition of 2g into m positive parts, and 2g(m-1) +
     C(2g-1, m-1) <= C(2gm, 2g)."""
     return comb(2 * g * m, 2 * g)
 
@@ -472,27 +475,25 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
 
     A map kappa onto an image S writes c(S) * pi_kappa on its own monomial,
     whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
-    docstring).  So an image size with c = 0 writes nothing, and each image
-    with c != 0 carries one profile per composition of 2g into |S| positive
-    parts, the fibre sizes.  The profile determines S, so no two images
-    share one."""
+    docstring).  So an image with c = 0 writes nothing, and each image with
+    c != 0, as ``cohomology._live_images`` yields it, carries one profile
+    per composition of 2g into |S| positive parts, the fibre sizes.  The
+    profile determines S, so no two images share one."""
     top = 2 * g
     support = []
-    for size in range(1, min(top, m) + 1):
-        if not _image_coefficient(m, size):
-            continue
-        for image in combinations(range(m), size):
-            for comp in _compositions(top, size):
-                fibre = dict(zip(image, comp))
-                support.append(tuple(top - fibre.get(j, 0) for j in range(m)))
+    for _, image in _live_images(g, m):
+        for comp in _compositions(top, len(image)):
+            fibre = dict(zip(image, comp))
+            support.append(tuple(top - fibre.get(j, 0) for j in range(m)))
     return sorted(support)
 
 
 def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     """The shadow step, and the one place that decides the shadow's bound.
 
-    Computed: c(S) for each image size, by ``_image_coefficient``, and the
-    placement of each composition of 2g on its image, by ``_shadow_support``.
+    Computed: c(S) for each image size, by ``cohomology._live_images``, and
+    the placement of each composition of 2g on its image, by
+    ``_shadow_support``.
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
     term of the class is built.  At m <= 2g each profile of the support is

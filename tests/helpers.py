@@ -11,6 +11,8 @@ the multiplication check used before it folded orbit coefficients.  The
 Kunneth survivors are re-walked flat, one size-2g multiset of factor
 positions at a time.  Certificates are written by the
 standard library's ``json.dumps``, the form their direct writer replaced.
+The shadow's image coefficient c(S) is summed by superset size, one
+binomial per size, the form its product over factors replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 from modiag import (
     Ambient,
@@ -39,6 +42,14 @@ def json_oracle(cert) -> str:
     """The oracle for ``certificate_to_json``: the standard library's
     indented encoder, reading the dataclass fields with ``vars``."""
     return json.dumps(cert, default=vars, indent=2) + "\n"
+
+
+def binomial_image_coefficient(m: int, size: int) -> int:
+    """The oracle for c(S) in ``cohomology._live_images``: the sum over
+    I ⊇ S in {1..m} of (-1)^(m-|I|) for |S| = size, its supersets counted
+    by size, C(m - size, t) of size size + t."""
+    rest = m - size
+    return sum((-1) ** (rest - t) * comb(rest, t) for t in range(rest + 1))
 
 
 def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:

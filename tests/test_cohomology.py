@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    binomial_image_coefficient,
     dual_basis_pushforward,
     monomials_of_degree,
     pushforward_satisfies_adjunction,
@@ -43,7 +45,7 @@ from modiag import (
     wedge,
     zero_class,
 )
-from modiag.cohomology import _image_coefficient
+from modiag.cohomology import _live_images
 from modiag.grading import LAYERS, PASS, replay_proof
 
 E1 = Ambient(1, 1)
@@ -456,24 +458,67 @@ def test_modified_diagonal_class_below_threshold_structure(g, m):
     assert profile_support(cls) == set(survivors)
 
 
-def test_image_coefficient_is_the_superset_sum():
-    for m in range(1, 8):
-        for size in range(1, m + 1):
-            for image in itertools.combinations(range(m), size):
-                rest = [j for j in range(m) if j not in image]
-                explicit = sum(
-                    (-1) ** (m - size - t)
-                    for t in range(len(rest) + 1)
-                    for _ in itertools.combinations(rest, t)
-                )
-                assert _image_coefficient(m, size) == explicit
-            assert _image_coefficient(m, size) == (1 if size == m else 0)
+def test_per_profile_term_count_is_the_multinomial_of_the_fibres():
+    # The maps kappa with fibre sizes 2g - p_j each write one term on the
+    # profile p, and no two cancel: multinomial(2g; 2g - p_1, ..., 2g - p_m).
+    for g, m in [(g, m) for g in (1, 2, 3) for m in range(1, 2 * g + 1)] + [(4, 7), (4, 8)]:
+        amb = Ambient(g, m)
+        counts = collections.Counter(
+            block_profile(amb, mask) for mask in modified_diagonal_class(amb).terms
+        )
+        for profile, count in counts.items():
+            fibres = [2 * g - p for p in profile]
+            assert count == math.factorial(2 * g) // math.prod(map(math.factorial, fibres))
+
+
+def test_live_images_are_the_images_with_a_nonzero_superset_sum():
+    for g in (1, 2, 3):
+        for m in range(1, 8):
+            expected = []
+            for size in range(1, min(2 * g, m) + 1):
+                for image in itertools.combinations(range(m), size):
+                    rest = [j for j in range(m) if j not in image]
+                    explicit = sum(
+                        (-1) ** (m - size - t)
+                        for t in range(len(rest) + 1)
+                        for _ in itertools.combinations(rest, t)
+                    )
+                    if explicit:
+                        expected.append((explicit, image))
+            assert list(_live_images(g, m)) == expected
+
+
+def test_live_images_match_the_binomial_row_sum():
+    for g in (1, 2, 3, 4):
+        for m in range(1, 301):
+            sizes = collections.Counter()
+            for c, image in _live_images(g, m):
+                assert c == binomial_image_coefficient(m, len(image))
+                sizes[len(image)] += 1
+            for size in range(1, min(2 * g, m) + 1):
+                live = binomial_image_coefficient(m, size) != 0
+                assert sizes[size] == (math.comb(m, size) if live else 0)
+
+
+def test_shadow_and_closed_form_take_no_binomial(monkeypatch):
+    # c(S) is a product over factors, so no binomial of about m/3 digits is
+    # summed per image size: (3, 3000) took about 3 s when it was.
+    def refuse(*args):
+        raise AssertionError("c(S) must not be summed by binomials")
+
+    monkeypatch.setattr("modiag.cohomology.comb", refuse, raising=False)
+    for g, m, kwargs in [(1, 2236, {}), (3, 3000, {"max_dim": 10**40})]:
+        shadow = replay_proof(g, m, layers=("cohomology",), **kwargs).steps[0]
+        assert shadow.status == PASS
+        assert shadow.witness["support"] == [] and shadow.witness["is_zero"]
+    amb = Ambient(2, 4)
+    assert modified_diagonal_class(amb) == class_of_cycle(modified_diagonal(amb))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_modified_diagonal_class_cancels_beyond_threshold(g):
     for m in range(2 * g + 1, 2 * g + 4):
-        assert all(_image_coefficient(m, size) == 0 for size in range(1, 2 * g + 1))
+        assert not list(_live_images(g, m))
         assert modified_diagonal_class(Ambient(g, m)).is_zero
 
 

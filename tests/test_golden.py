@@ -10,7 +10,8 @@ certificates at (1,16) and (1,18) before the formal identities were checked
 on orbit sums, and the formal and grading certificates at (5,6) and (6,5)
 before the survivor walk went factor by factor, and the all-layer
 certificates at (3,6) and (3,7), and at (4,5) to (4,9) with the shadow's
-bound raised, before the shadow read its support from compositions; any
+bound raised, before the shadow read its support from compositions, and
+the shadow alone at (1,2000) before c(S) was read by factor; any
 change to certificate or survey bytes must show up here.  Each file in
 GOLDEN is the stdout of ``python -m modiag`` with the arguments listed for
 it.  Each file in
@@ -66,6 +67,8 @@ GOLDEN = {
         f"verify-g4-m{m}-shadow.json": _verify(4, m, "--max-dim", "100000000000000")
         for m in range(5, 10)
     },
+    # The shadow alone far past the first vanishing power, at the default bound.
+    "verify-g1-m2000-cohomology.json": _verify(1, 2000, layers="cohomology"),
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
     "survey-g2-M5.txt": ("survey", "--genus", "2", "--power-max", "5"),
