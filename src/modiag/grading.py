@@ -25,23 +25,26 @@ certificate with one step per move:
   5. step 2 kills every profile containing an entry 2g, and the surviving
      profiles are counted: the complements to 2g of a surviving profile
      are all at least 1 yet sum to 2g, so survivors force m <= 2g, and for
-     m >= 2g+1 nothing is left.  The survivors are listed by stars and
-     bars, as the compositions of 2g into m positive parts, and the
-     profiles with an entry 2g are counted in closed form, C(m, s)
-     C(2g-1, s-1) of them with exactly s nonzero complements.  The work is
-     one tuple per survivor plus at most 2g binomials.  The profiles
-     counted total ``count_admissible(g, m, 2g(m-1))``, which ``enum_bound``
-     bounds from above and the certificate cross-checks;
+     m >= 2g+1 nothing is left.  The survivors, one per composition of 2g
+     into m positive parts, are the profiles in {0..2g-1}^m of total
+     2g(m-1), listed by the bounded walk that also lists
+     ``admissible_degrees``.  The profiles with an entry 2g are counted in
+     closed form, C(m, s) C(2g-1, s-1) of them with exactly s nonzero
+     complements.  The work is one tuple per survivor plus at most 2g
+     binomials.  The profiles counted total ``count_admissible(g, m,
+     2g(m-1))``, which ``enum_bound`` bounds from above and the
+     certificate cross-checks;
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
      an image S carry c(S), a product over the factors outside S computed
      once for each image size, and each image with c != 0
      (``cohomology._live_images``) gives one profile per composition of 2g
-     into |S| positive parts.
-     Only S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
-     otherwise supported on C(2g-1, m-1) profiles, each checked against the
-     definition of a survivor rather than against the list of step 5.
+     into |S| positive parts: the same bounded walk lists its entries on
+     S, and 2g is placed off S.  Only S = {1..m} survives, so the shadow
+     is zero for m >= 2g+1 and is otherwise supported on C(2g-1, m-1)
+     profiles, each checked against the definition of a survivor rather
+     than against the list of step 5.
 
 For m <= 2g the pigeonhole step reports its counterexample and the
 certificate makes no claim about vanishing; nothing is overstated in
@@ -52,7 +55,6 @@ identical for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
@@ -146,27 +148,25 @@ def count_admissible(g: int, m: int, nu: int) -> int:
     return _count_bounded(m, _as_int(nu), 2 * g)
 
 
-def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
-    """Multidegrees in {0..2g}^m of total nu, in lexicographic order.
+def _iter_bounded(slots: int, total: int, cap: int) -> Iterator[MultiDegree]:
+    """The tuples in {0..cap}^slots with the given sum, in lexicographic
+    order: those that ``_count_bounded(slots, total, cap)`` counts.
 
     The least one is filled from the right.  Each next one raises the
-    rightmost entry below 2g whose tail is nonzero, and refills that tail,
-    one less, from the right.  No recursion, so m is not bounded by the
+    rightmost entry below cap whose tail is nonzero, and refills that tail,
+    one less, from the right.  No recursion, so slots is not bounded by the
     interpreter's stack."""
-    Ambient(g, m)  # rejects non-integers, bools and values below 1
-    nu = _as_int(nu)
-    cap = 2 * g
-    if not 0 <= nu <= cap * m:
+    if not 0 <= total <= cap * slots:
         return
-    degree = [0] * m
-    rest = nu
-    for j in range(m - 1, -1, -1):
+    degree = [0] * slots
+    rest = total
+    for j in range(slots - 1, -1, -1):
         degree[j] = min(cap, rest)
         rest -= degree[j]
     while True:
         yield tuple(degree)
         tail = 0
-        for i in range(m - 1, -1, -1):
+        for i in range(slots - 1, -1, -1):
             if tail and degree[i] < cap:
                 break
             tail += degree[i]
@@ -174,13 +174,15 @@ def iter_admissible(g: int, m: int, nu: int) -> Iterator[MultiDegree]:
             return
         degree[i] += 1
         tail -= 1
-        for j in range(m - 1, i, -1):
+        for j in range(slots - 1, i, -1):
             degree[j] = min(cap, tail)
             tail -= degree[j]
 
 
 def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
-    return list(iter_admissible(g, m, nu))
+    """Multidegrees in {0..2g}^m of total nu, in lexicographic order."""
+    Ambient(g, m)  # rejects non-integers, bools and values below 1
+    return list(_iter_bounded(m, _as_int(nu), 2 * g))
 
 
 def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
@@ -189,17 +191,6 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
     Ambient(g, 1)  # rejects non-integers, bools and values below 1
     top = 2 * g
     return [d for d in degrees if top not in d]
-
-
-def _compositions(total: int, parts: int) -> Iterator[MultiDegree]:
-    """The compositions of total into parts positive parts, in descending
-    lexicographic order: stars and bars, with cut points 0 < S_1 < ... <
-    S_(parts-1) < total for the partial sums.  Cut tuples and compositions
-    order alike, so the cuts are taken in descending lexicographic order.
-    There are C(total-1, parts-1) of them, none for parts > total."""
-    for cuts in reversed(list(combinations(range(1, total), parts - 1))):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
@@ -211,18 +202,20 @@ def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
     ways, times a composition of 2g into s positive parts, C(2g-1, s-1)
     ways, so every class with s < m is counted in closed form and none is
     generated.  The survivors, s = m, are 2g minus the compositions of 2g
-    into m positive parts; for m >= 2g+1 there are none, so the empty
-    survivor list is enumerated, not assumed.  The work is one tuple per
-    survivor plus at most 2g binomials.
+    into m positive parts, the tuples in {0..2g-1}^m of total 2g(m-1), and
+    ``_iter_bounded`` lists them; for m >= 2g+1 there are none, so the
+    empty survivor list is enumerated, not assumed.  The work is one tuple
+    per survivor plus at most 2g binomials.
 
     The first result, the number of profiles counted, cross-checks the
-    partition by s against ``count_admissible(g, m, 2g(m-1))``.  The
-    compositions come in descending lexicographic order, so survivors come
-    out in the lexicographic order of
-    ``filter_top(admissible_degrees(g, m, 2g(m-1)), g)``.
+    partition by s against ``count_admissible(g, m, 2g(m-1))``, and the
+    step compares the survivors with ``_count_bounded`` over the same
+    slots, total and cap.  The walk is lexicographic, so survivors come
+    out in the order of ``filter_top(admissible_degrees(g, m, 2g(m-1)),
+    g)``, which the same walk lists at cap 2g.
     """
     top = 2 * g
-    survivors = [tuple(top - c for c in comp) for comp in _compositions(top, m)]
+    survivors = list(_iter_bounded(m, top * (m - 1), top - 1))
     missed = sum(comb(m, s) * comb(top - 1, s - 1) for s in range(1, min(m - 1, top) + 1))
     return len(survivors) + missed, survivors
 
@@ -477,14 +470,16 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
     whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
     docstring).  So an image with c = 0 writes nothing, and each image with
     c != 0, as ``cohomology._live_images`` yields it, carries one profile
-    per composition of 2g into |S| positive parts, the fibre sizes.  The
-    profile determines S, so no two images share one."""
+    per composition of 2g into |S| positive parts, the fibre sizes.  Its
+    entries on S are the tuples in {0..2g-1}^|S| of total 2g(|S|-1), which
+    ``_iter_bounded`` lists, and 2g is placed off S.  The profile
+    determines S, so no two images share one."""
     top = 2 * g
     support = []
     for _, image in _live_images(g, m):
-        for comp in _compositions(top, len(image)):
-            fibre = dict(zip(image, comp))
-            support.append(tuple(top - fibre.get(j, 0) for j in range(m)))
+        for entries in _iter_bounded(len(image), top * (len(image) - 1), top - 1):
+            on_image = dict(zip(image, entries))
+            support.append(tuple(on_image.get(j, top) for j in range(m)))
     return sorted(support)
 
 
@@ -492,8 +487,8 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     """The shadow step, and the one place that decides the shadow's bound.
 
     Computed: c(S) for each image size, by ``cohomology._live_images``, and
-    the placement of each composition of 2g on its image, by
-    ``_shadow_support``.
+    the profiles on each live image, by ``_shadow_support`` from the
+    bounded walk with 2g placed off the image.
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
     term of the class is built.  At m <= 2g each profile of the support is

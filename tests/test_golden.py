@@ -11,10 +11,11 @@ on orbit sums, and the formal and grading certificates at (5,6) and (6,5)
 before the survivor walk went factor by factor, and the all-layer
 certificates at (3,6) and (3,7), and at (4,5) to (4,9) with the shadow's
 bound raised, before the shadow read its support from compositions, and
-the shadow alone at (1,2000) before c(S) was read by factor; any
-change to certificate or survey bytes must show up here.  Each file in
-GOLDEN is the stdout of ``python -m modiag`` with the arguments listed for
-it.  Each file in
+the shadow alone at (1,2000) before c(S) was read by factor, and the
+grading certificate at (300,3) before the survivors and the shadow's
+support were listed by one bounded walk; any change to certificate or
+survey bytes must show up here.  Each file in GOLDEN is the stdout of
+``python -m modiag`` with the arguments listed for it.  Each file in
 LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
 keyword arguments listed for it, pinning what the command line cannot
 reach.  The files were written by ``json.dumps(indent=2)`` before
@@ -69,6 +70,9 @@ GOLDEN = {
     },
     # The shadow alone far past the first vanishing power, at the default bound.
     "verify-g1-m2000-cohomology.json": _verify(1, 2000, layers="cohomology"),
+    # The grading layer alone at a large genus: 179,101 survivors, of which
+    # the first 128 are listed, and the cap 2g - 1 binds on the first entry.
+    "verify-g300-m3-grading.json": _verify(300, 3, layers="grading"),
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
     "survey-g2-M5.txt": ("survey", "--genus", "2", "--power-max", "5"),

@@ -396,11 +396,35 @@ def test_cohomology_step_consistent_for_small_m():
     assert shadow.witness["support"] == [[1, 3], [2, 2], [3, 1]]
 
 
+@pytest.mark.parametrize("cap", range(1, 5))
+@pytest.mark.parametrize("slots", range(1, 7))
+def test_bounded_walk_is_the_brute_force_filter_in_order(slots, cap):
+    by_total: dict[int, list] = {}
+    for t in itertools.product(range(cap + 1), repeat=slots):
+        by_total.setdefault(sum(t), []).append(t)
+    for total in range(-1, cap * slots + 2):
+        walked = list(grading._iter_bounded(slots, total, cap))
+        assert walked == by_total.get(total, [])
+        assert len(walked) == grading._count_bounded(slots, total, cap)
+
+
 @pytest.mark.parametrize("total", range(1, 7))
 @pytest.mark.parametrize("parts", range(1, 8))
 def test_compositions_are_stars_and_bars_in_descending_order(total, parts):
+    # The complements to total of the walk at cap total - 1 are the
+    # compositions of total into parts positive parts, C(total-1, parts-1)
+    # of them by stars and bars: the survivors and the shadow's support
+    # carry one profile per composition of 2g.
     brute = [c for c in itertools.product(range(1, total + 1), repeat=parts) if sum(c) == total]
-    assert list(grading._compositions(total, parts)) == sorted(brute, reverse=True)
+    walked = grading._iter_bounded(parts, total * (parts - 1), total - 1)
+    comps = [tuple(total - i for i in t) for t in walked]
+    assert comps == sorted(brute, reverse=True)
+    assert len(comps) == math.comb(total - 1, parts - 1)
+
+
+def test_grading_has_one_enumerator_of_bounded_tuples():
+    for name in ("combinations", "_compositions", "iter_admissible", "itertools"):
+        assert not hasattr(grading, name), name
 
 
 SHADOW_ORACLE_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 3)] + [
