@@ -27,13 +27,15 @@ certificate with one step per move:
      are all at least 1 yet sum to 2g, so survivors force m <= 2g, and for
      m >= 2g+1 nothing is left.  The survivors, one per composition of 2g
      into m positive parts, are the profiles in {0..2g-1}^m of total
-     2g(m-1), listed by the bounded walk that also lists
-     ``admissible_degrees``.  The profiles with an entry 2g are counted in
-     closed form, C(m, s) C(2g-1, s-1) of them with exactly s nonzero
-     complements.  The work is one tuple per survivor plus at most 2g
-     binomials.  The profiles counted total ``count_admissible(g, m,
-     2g(m-1))``, which ``enum_bound`` bounds from above and the
-     certificate cross-checks;
+     2g(m-1), C(2g-1, m-1) of them; the certificate lists the first
+     ``SURVIVOR_LIST_CAP`` from the bounded walk that also lists
+     ``admissible_degrees``, and proves them the lexicographically first
+     by the rank of the last one.  The profiles with an entry 2g are
+     counted in closed form, C(m, s) C(2g-1, s-1) of them with exactly s
+     nonzero complements, and the certificate cross-checks the partition
+     against ``count_admissible(g, m, 2g(m-1))``.  The work is at most
+     ``SURVIVOR_LIST_CAP`` tuples, min(m-1, 2g) big-int-by-small-int
+     steps, two binomials, and the rank when the list is truncated;
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
@@ -55,6 +57,7 @@ identical for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
@@ -95,7 +98,6 @@ SKIPPED = "SKIPPED"
 LAYERS = ("formal", "grading", "cohomology")
 DEFAULT_LAYERS = ("formal", "grading")
 DEFAULT_MULT_SAMPLE = (-3, -2, 2, 3)
-DEFAULT_ENUM_BOUND = 10**6
 DEFAULT_MAX_DIM = 10**7
 
 # Survivor lists are embedded in witnesses only up to this many entries;
@@ -193,31 +195,49 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
     return [d for d in degrees if top not in d]
 
 
+def _rank(t: MultiDegree, cap: int) -> int:
+    """The number of tuples in {0..cap}^len(t) with t's sum that precede t
+    lexicographically.  Those that first differ from t at position j hold
+    some d < t_j there, and ``_count_bounded`` counts their tails.  d starts
+    where the rest still fits in the slots after j, so no count is asked of
+    zero slots."""
+    rank, rest = 0, sum(t)
+    for j, entry in enumerate(t):
+        slots = len(t) - 1 - j
+        for d in range(max(0, rest - cap * slots), entry):
+            rank += _count_bounded(slots, rest - d, cap)
+        rest -= entry
+    return rank
+
+
 def _kunneth_survivors(g: int, m: int) -> tuple[int, list[MultiDegree]]:
-    """Count the multidegrees of total 2g(m-1) and list those with no entry 2g.
+    """Count the multidegrees of total 2g(m-1) with an entry 2g, and list the
+    first ``SURVIVOR_LIST_CAP`` of those without one, the survivors.
 
     The complements c_j = 2g - i_j of such a multidegree are at least 0 and
     sum to 2g, and an entry 2g is a factor j with c_j = 0.  A profile with
     exactly s nonzero complements is a choice of those s factors, C(m, s)
     ways, times a composition of 2g into s positive parts, C(2g-1, s-1)
     ways, so every class with s < m is counted in closed form and none is
-    generated.  The survivors, s = m, are 2g minus the compositions of 2g
-    into m positive parts, the tuples in {0..2g-1}^m of total 2g(m-1), and
-    ``_iter_bounded`` lists them; for m >= 2g+1 there are none, so the
-    empty survivor list is enumerated, not assumed.  The work is one tuple
-    per survivor plus at most 2g binomials.
-
-    The first result, the number of profiles counted, cross-checks the
-    partition by s against ``count_admissible(g, m, 2g(m-1))``, and the
-    step compares the survivors with ``_count_bounded`` over the same
-    slots, total and cap.  The walk is lexicographic, so survivors come
-    out in the order of ``filter_top(admissible_degrees(g, m, 2g(m-1)),
-    g)``, which the same walk lists at cap 2g.
+    generated: the terms follow T(1) = m and T(s+1) = T(s) (m-s)(2g-s) /
+    ((s+1) s) exactly, min(m-1, 2g) big-int-by-small-int steps.  The
+    survivors, s = m, are the tuples in {0..2g-1}^m of total 2g(m-1), and
+    ``_iter_bounded`` lists them in the order of ``filter_top(
+    admissible_degrees(g, m, 2g(m-1)), g)``; for m >= 2g+1 there are none,
+    so the empty list is enumerated, not assumed.
     """
     top = 2 * g
-    survivors = list(_iter_bounded(m, top * (m - 1), top - 1))
-    missed = sum(comb(m, s) * comb(top - 1, s - 1) for s in range(1, min(m - 1, top) + 1))
-    return len(survivors) + missed, survivors
+    missed, term = 0, m
+    for s in range(1, min(m - 1, top) + 1):
+        missed += term
+        term = term * (m - s) * (top - s) // ((s + 1) * s)
+    return missed, list(islice(_iter_bounded(m, top * (m - 1), top - 1), SURVIVOR_LIST_CAP))
+
+
+def _is_survivor(t: MultiDegree, g: int, m: int) -> bool:
+    """Whether t meets the definition of a survivor: total 2g(m-1), and
+    every entry in 0..2g-1."""
+    return sum(t) == 2 * g * (m - 1) and all(0 <= i < 2 * g for i in t)
 
 
 @dataclass(frozen=True)
@@ -357,7 +377,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
     return [mult_step, contraction_step]
 
 
-def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
+def _grading_steps(g: int, m: int) -> list[Step]:
     steps = [
         Step(
             id="motivic-decomposition",
@@ -400,41 +420,32 @@ def _grading_steps(g: int, m: int, enum_bound: int) -> list[Step]:
     outcome = prove_empty_pigeonhole(g, m)
     admissible_count = count_admissible(g, m, nu)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
-    if admissible_count > enum_bound:
-        statement = (
-            f"enumeration of the {admissible_count} multidegrees of total {nu}"
-            f" exceeds the configured bound; survivors are counted analytically only"
-        )
-        reference = "bounded compositions by inclusion-exclusion"
-        status = SKIPPED
-        witness = {
-            "admissible_count": admissible_count,
-            "survivor_count": survivor_count,
-            "enumeration_bound": enum_bound,
-        }
-    else:
-        walked, survivors = _kunneth_survivors(g, m)
-        consistent = walked == admissible_count and len(survivors) == survivor_count
-        if outcome.holds:
-            consistent = consistent and not survivors
-        else:
-            consistent = consistent and outcome.counterexample in survivors
-            if m == 2 * g:
-                consistent = consistent and survivors == [(2 * g - 1,) * m]
-        statement = (
-            f"enumerate the multidegrees in {{0..{2 * g}}}^{m} of total {nu}"
-            f" and drop those with an entry {2 * g}, whose components die"
-            " under a contraction; cross-check the count analytically"
-        )
-        reference = "bounded compositions by direct enumeration and by inclusion-exclusion"
-        status = PASS if consistent else FAIL
-        witness = {
-            "admissible_count": admissible_count,
-            "survivor_count": len(survivors),
-            "survivors_listed": len(survivors) <= SURVIVOR_LIST_CAP,
-            "survivors": [list(s) for s in survivors[:SURVIVOR_LIST_CAP]],
-            "matches_analytic": consistent,
-        }
+    missed, survivors = _kunneth_survivors(g, m)
+    # Distinct survivors in increasing order, min(count, cap) of them, are
+    # all of them when the count fits under the cap; a truncated list is
+    # exactly ranks 0..len-1 when its last entry has rank len - 1.
+    consistent = (
+        missed + survivor_count == admissible_count
+        and all(_is_survivor(t, g, m) for t in survivors)
+        and all(a < b for a, b in zip(survivors, survivors[1:]))
+        and len(survivors) == min(survivor_count, SURVIVOR_LIST_CAP)
+        and survivors[:1] == ([] if outcome.holds else [outcome.counterexample])
+        and (survivor_count <= SURVIVOR_LIST_CAP or _rank(survivors[-1], 2 * g - 1) == SURVIVOR_LIST_CAP - 1)
+    )
+    statement = (
+        f"enumerate the multidegrees in {{0..{2 * g}}}^{m} of total {nu}"
+        f" and drop those with an entry {2 * g}, whose components die"
+        " under a contraction; cross-check the count analytically"
+    )
+    reference = "bounded compositions by direct enumeration and by inclusion-exclusion"
+    status = PASS if consistent else FAIL
+    witness = {
+        "admissible_count": admissible_count,
+        "survivor_count": survivor_count,
+        "survivors_listed": survivor_count <= SURVIVOR_LIST_CAP,
+        "survivors": [list(s) for s in survivors],
+        "matches_analytic": consistent,
+    }
     steps.append(Step("kunneth-survivors", GRADING_FILTER, statement, reference, status, witness))
 
     # The survivor count is computed in both outcomes; it is 0 for m >= 2g+1.
@@ -518,8 +529,7 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
             ok = not support
             statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
         else:
-            nu = top * (m - 1)
-            contained = all(sum(p) == nu and all(0 <= i < top for i in p) for p in support)
+            contained = all(_is_survivor(p, g, m) for p in support)
             witness["survivor_containment"] = "verified" if contained else "violated"
             ok = top_clear and contained
             statement = (
@@ -537,7 +547,6 @@ def replay_proof(
     *,
     layers: Iterable[str] = DEFAULT_LAYERS,
     mult_sample: Iterable[int] = DEFAULT_MULT_SAMPLE,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> Certificate:
     """Replay the vanishing argument for the modified diagonal on X^m.
@@ -547,16 +556,9 @@ def replay_proof(
     FAILed; for m <= 2g the pigeonhole step fails by design, carrying its
     counterexample and an explicit no-claim note, so the certificate never
     asserts a vanishing the argument does not give.  Resource-bound
-    overruns surface as SKIPPED steps, never as silent truncation.  Both
-    bounds follow ``_as_int``: a bool, float or string raises TypeError.
-
-    ``enum_bound`` gates only the Kunneth walk of the ``kunneth-survivors``
-    step, by ``count_admissible``, the number of profiles the walk counts.
-    That is a sound upper bound on its work but a loose one, since the
-    profiles that miss a factor are counted in closed form: at (7, 15) the
-    default bound SKIPs 40,116,600 profiles that the walk covers with a sum
-    of 14 binomial products.  The shadow reads neither the walk nor this
-    bound.
+    overruns surface as SKIPPED steps, never as silent truncation.
+    ``max_dim``, the shadow's bound, follows ``_as_int``: a bool, float or
+    string raises TypeError.
     """
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)
@@ -570,13 +572,13 @@ def replay_proof(
         sample = ()
     if not sample or 0 in sample:
         raise ValueError("the multiplication sample must be nonzero integers")
-    enum_bound, max_dim = _as_int(enum_bound), _as_int(max_dim)
+    max_dim = _as_int(max_dim)
 
     steps: list[Step] = []
     if "formal" in layer_set:
         steps.extend(_formal_steps(g, m, sample))
     if "grading" in layer_set:
-        steps.extend(_grading_steps(g, m, enum_bound))
+        steps.extend(_grading_steps(g, m))
     if "cohomology" in layer_set:
         steps.append(_cohomology_step(g, m, max_dim))
 

@@ -31,6 +31,7 @@ from modiag.grading import (
     PASS,
     SKIPPED,
     STEP_KINDS,
+    SURVIVOR_LIST_CAP,
     Certificate,
     Step,
     _kunneth_survivors,
@@ -159,17 +160,18 @@ WALK_CASES = [(g, m) for g in range(1, 4) for m in range(1, 2 * g + 4)] + [
 @pytest.mark.parametrize("g,m", WALK_CASES)
 def test_survivor_walk_matches_enumeration(g, m):
     degrees = admissible_degrees(g, m, 2 * g * (m - 1))
-    walked, survivors = _kunneth_survivors(g, m)
-    assert survivors == filter_top(degrees, g)
-    assert walked == len(degrees)
-    assert (walked, survivors) == flat_kunneth_survivors(g, m)
+    missed, survivors = _kunneth_survivors(g, m)
+    walked, flat = flat_kunneth_survivors(g, m)
+    assert survivors == filter_top(degrees, g)[:SURVIVOR_LIST_CAP] == flat[:SURVIVOR_LIST_CAP]
+    assert missed + len(flat) == len(degrees) == walked
 
 
 @given(st.integers(1, 4), st.integers(1, 9))
 def test_survivor_walk_matches_flat_walk(g, m):
-    walk = _kunneth_survivors(g, m)
-    assert walk == flat_kunneth_survivors(g, m)
-    assert walk[1] == filter_top(admissible_degrees(g, m, 2 * g * (m - 1)), g)
+    # At most C(7, 3) = 35 survivors here, so the whole list is taken.
+    missed, survivors = _kunneth_survivors(g, m)
+    assert (missed + len(survivors), survivors) == flat_kunneth_survivors(g, m)
+    assert survivors == filter_top(admissible_degrees(g, m, 2 * g * (m - 1)), g)
 
 
 @pytest.mark.parametrize("g,m", [(700, 1), (1000, 2), (300, 3)])
@@ -182,9 +184,11 @@ def test_survivor_walk_is_iterative_and_fast_at_large_genus(g, m):
     step = next(s for s in cert.steps if s.id == "kunneth-survivors")
     assert step.status == PASS and step.witness["matches_analytic"]
     nu = 2 * g * (m - 1)
-    walked, survivors = _kunneth_survivors(g, m)
-    assert walked == count_admissible(g, m, nu) == step.witness["admissible_count"]
-    assert len(survivors) == grading._count_bounded(m, nu, 2 * g - 1)
+    missed, survivors = _kunneth_survivors(g, m)
+    count = grading._count_bounded(m, nu, 2 * g - 1)
+    assert missed + count == count_admissible(g, m, nu) == step.witness["admissible_count"]
+    assert survivors == filter_top(admissible_degrees(g, m, nu), g)[:SURVIVOR_LIST_CAP]
+    assert step.witness["survivors"] == [list(t) for t in survivors]
     assert survivors[:1] == [prove_empty_pigeonhole(g, m).counterexample]
 
 
@@ -205,15 +209,17 @@ def test_survivor_walk_counts_dead_classes_without_enumerating_them(g, m, walked
     # (12, 25); the profiles with s < m nonzero complements are counted by
     # C(m, s) C(2g-1, s-1) and only the survivors are generated.
     start = time.perf_counter()
-    walk = _kunneth_survivors(g, m)
+    missed, listed = _kunneth_survivors(g, m)
     assert time.perf_counter() - start < 1
-    assert walk == (walked, survivors)
+    assert (missed + len(listed), listed) == (walked, survivors)
     assert walked == count_admissible(g, m, 2 * g * (m - 1))
 
 
 def test_replay_proof_walks_far_beyond_the_default_bound():
+    # 40,116,600 profiles, which the retired enumeration bound SKIPped at
+    # its default of 10^6, though they are counted by 14 terms.
     start = time.perf_counter()
-    cert = replay_proof(7, 15, layers=("grading",), enum_bound=10**9)
+    cert = replay_proof(7, 15, layers=("grading",))
     assert time.perf_counter() - start < 1
     steps = {s.id: s for s in cert.steps}
     walk = steps["kunneth-survivors"]
@@ -230,9 +236,9 @@ def test_replay_proof_counts_profiles_from_the_near_end_at_large_power():
     cert = replay_proof(1, 5000)
     assert time.perf_counter() - start < 1
     walk = next(s for s in cert.steps if s.id == "kunneth-survivors")
-    assert walk.status == SKIPPED
+    assert (walk.status, walk.witness["matches_analytic"]) == (PASS, True)
     assert walk.witness["admissible_count"] == math.comb(5001, 2)
-    assert walk.witness["survivor_count"] == 0
+    assert (walk.witness["survivor_count"], walk.witness["survivors"]) == (0, [])
     assert cert.result == PASS
 
 
@@ -358,25 +364,77 @@ def test_certificate_text_format():
     assert text.rstrip().endswith("result: PASS")
 
 
-def test_enumeration_bound_skips_without_silence():
-    cert = replay_proof(1, 3, enum_bound=1)
-    survivors = next(s for s in cert.steps if s.kind == "GRADING_FILTER")
-    assert survivors.status == SKIPPED
-    assert survivors.witness["survivor_count"] == 0
-    assert survivors.witness["enumeration_bound"] == 1
-    # the analytic pigeonhole still concludes
-    assert cert.result == PASS
+def test_replay_proof_has_no_enumeration_bound():
+    # The survivor step's work is bounded by the survivors it lists, so no
+    # bound gates it.
+    with pytest.raises(TypeError):
+        replay_proof(1, 3, enum_bound=1)
+    assert not hasattr(grading, "DEFAULT_ENUM_BOUND")
 
 
-def test_shadow_containment_is_verified_when_the_walk_is_skipped():
-    # enum_bound gates only the survivor walk; the shadow checks its support
-    # against the definition of a survivor, whatever the bound.
-    cert = replay_proof(1, 2, layers=LAYERS, enum_bound=1)
-    steps = {s.id: s for s in cert.steps}
-    assert steps["kunneth-survivors"].status == SKIPPED
-    shadow = steps["cohomology-shadow"]
-    assert shadow.status == PASS
-    assert shadow.witness["survivor_containment"] == "verified"
+@pytest.mark.parametrize("g,m", [(300, 3), (10, 11), (12, 13), (5000, 5000)])
+def test_survivor_step_lists_only_the_survivors_it_embeds(g, m):
+    # The whole list is 179,101 survivors at (300, 3) and 1,352,078 at
+    # (12, 13); at (5000, 5000) the partition sum by comb products takes
+    # about 8 s, and its recurrence about 0.02 s.
+    start = time.perf_counter()
+    cert = replay_proof(g, m, layers=("grading",))
+    assert time.perf_counter() - start < 2
+    step = next(s for s in cert.steps if s.id == "kunneth-survivors")
+    assert (step.status, step.witness["matches_analytic"]) == (PASS, True)
+    assert step.witness["survivor_count"] == math.comb(2 * g - 1, m - 1)
+    assert len(step.witness["survivors"]) == SURVIVOR_LIST_CAP
+    assert step.witness["survivors_listed"] is False
+
+
+@pytest.mark.parametrize("cap", range(1, 5))
+@pytest.mark.parametrize("slots", range(1, 6))
+def test_rank_is_the_index_in_the_brute_force_filter(slots, cap):
+    by_total: dict[int, list] = {}
+    for t in itertools.product(range(cap + 1), repeat=slots):
+        by_total.setdefault(sum(t), []).append(t)
+    for tuples in by_total.values():
+        assert [grading._rank(t, cap) for t in tuples] == list(range(len(tuples)))
+
+
+def _nudge_top(ts):
+    # Move one unit into the last entry of the second tuple: it then holds
+    # 2g, and still sorts between its neighbours.
+    *head, before, last = ts[1]
+    return [ts[0], (*head, before - 1, last + 1), *ts[2:]]
+
+
+WALK_FAULTS = {
+    "none": lambda ts: ts,
+    "drop-2nd": lambda ts: ts[:1] + ts[2:],
+    "drop-5th": lambda ts: ts[:4] + ts[5:],
+    "swap-100th-200th": lambda ts: ts[:99] + [ts[199]] + ts[100:199] + [ts[99]] + ts[200:],
+    "top-entry": _nudge_top,
+}
+
+
+@pytest.mark.parametrize(
+    "g,m,fault",
+    [
+        (6, 5, "none"),
+        (6, 5, "drop-5th"),
+        (300, 3, "drop-5th"),
+        (2, 3, "drop-2nd"),
+        (6, 5, "swap-100th-200th"),
+        (2, 3, "top-entry"),
+        (6, 5, "top-entry"),
+    ],
+)
+def test_survivor_step_fails_on_a_faulty_walk(monkeypatch, g, m, fault):
+    real = grading._iter_bounded
+    monkeypatch.setattr(
+        grading,
+        "_iter_bounded",
+        lambda *args: iter(WALK_FAULTS[fault](list(itertools.islice(real(*args), 300)))),
+    )
+    step = next(s for s in replay_proof(g, m, layers=("grading",)).steps if s.id == "kunneth-survivors")
+    ok = fault == "none"
+    assert (step.status, step.witness["matches_analytic"]) == (PASS if ok else FAIL, ok)
 
 
 def test_cohomology_bound_skips_without_silence():
@@ -515,7 +573,7 @@ def test_replay_proof_input_validation():
 
 
 @pytest.mark.parametrize("bad", [True, 5.0, float("nan"), "5"], ids=repr)
-@pytest.mark.parametrize("bound", ["enum_bound", "max_dim"])
+@pytest.mark.parametrize("bound", ["max_dim"])
 def test_replay_proof_bounds_follow_the_integer_rule(bound, bad):
     with pytest.raises(TypeError):
         replay_proof(1, 3, layers=LAYERS, **{bound: bad})
