@@ -73,9 +73,9 @@ sign (-1)^(m-|I|), so the term of kappa picks up c(S) = sum over I ⊇ S of
 (-1)^(m-|I|), S the image of kappa.  Grouped by factor, it is the product
 over the m - |S| factors outside S of (+1 when the factor is in I) + (-1
 when it is not), so it is 1 for S = {1..m} and 0 otherwise.
-``_live_images`` computes that product once for every image size up to
-min(2g, m) rather than assuming it, and yields the images with c != 0;
-the closed form and the certificate's support both walk them.  Hence
+``_live_images`` computes that product, one power, once for every image
+size up to min(2g, m) rather than assuming it, and yields the images with
+c != 0; the closed form and the certificate's support both walk them.  Hence
 [Gamma(m)] is the sum of pi_kappa * (T - b_kappa) over the maps kappa
 onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology (Beauville
 1986; Deninger-Murre 1991), and otherwise m! S(2g, m) terms of coefficient
@@ -365,16 +365,14 @@ def _live_images(g: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|).  Grouped by factor, it
     is the product over the m - |S| factors outside S of (+1 when the factor
-    is in I) + (-1 when it is not), so it is computed once per image size,
-    exactly, in O(m) small-int steps and with no binomial.  The sum is
-    computed, not asserted: it is 1 for S = {1..m} and cancels to 0
-    otherwise.  Images come in increasing size, each size in
+    is in I) + (-1 when it is not).  The factors are all the same, so it is
+    computed once per image size, exactly, as one power and with no
+    binomial.  The sum is computed, not asserted: it is 1 for S = {1..m}
+    and cancels to 0 otherwise.  Images come in increasing size, each size in
     lexicographic order.
     """
     for size in range(1, min(2 * g, m) + 1):
-        c = 1
-        for _ in range(m - size):
-            c *= (+1) + (-1)
+        c = ((+1) + (-1)) ** (m - size)
         if c:
             for image in itertools.combinations(range(m), size):
                 yield c, image

@@ -24,42 +24,40 @@ pushforward collapses onto the zero section, a point; its class is zero
 because g >= 1 kills positive-dimensional classes pushed to a point.
 
 Orbit sums.  Permuting the factors of X^m permutes the indicator
-diagonals D(1_I), I a subset of {1..m}, and keeps |I|.  Write O_k for the
-sum of D(1_I) over the C(m, k) sets with |I| = k; the modified diagonal is
-Gamma(m) = sum over k of (-1)^(m-k) O_k.  An OrbitCycle stores a
-combination sum_k a_k O_k by its m+1 coefficients a_0..a_m, and both
-identities the certificate checks fold over them:
+diagonals D(1_I), I a nonempty subset of {1..m}, and keeps |I|.  Write O_k
+for the sum of D(1_I) over the C(m, k) sets with |I| = k; the modified
+diagonal is Gamma(m) = sum over k = 1..m of a_k O_k, with the alternating
+signs a_k = (-1)^(m-k) of ``_orbit_signs``.  Both identities the
+certificate checks are read from the orbits, not from the 2^m - 1 terms:
 
-  mult rule         multiplication by n on every factor commutes with every
-                    permutation of the factors, so O_k goes to the sum of
-                    the permuted images of its representative D(1_{1..k}).
-                    That vector has two runs, k entries 1 and m-k entries
-                    0 (one run at k = m), and a vector has the gcd and the
-                    first nonzero entry of its run values.  So the gcd and
-                    sign rules act on the run values (n, 0) or (n,) alone:
-                    two normalizations per n, whatever m is.  An image that
-                    is the indicator of k' factors is a union of runs, and
-                    the C(m, k) sets of O_k land evenly on the C(m, k')
-                    sets of O_k', each C(m, k)/C(m, k') times.  The gcd
-                    rule gives back (1, 0) and (1,) with the factor n^(2g),
-                    so k' = k and O_k goes to n^(2g) O_k.
+  mult rule         multiplication by n on every factor sends D(1_I) to
+                    D(n 1_I).  Up to the order of the factors, n 1_I has
+                    two runs, |I| entries n and m-|I| entries 0 (one run at
+                    I = {1..m}), and its gcd and the sign of its first
+                    nonzero entry are those of the run values (n, 0) or
+                    (n,).  So the gcd and sign rules act on those two run
+                    shapes alone.  When they give back (1, 0) and (1,)
+                    with the factor n^(2g), every D(1_I) goes to
+                    n^(2g) D(1_I), and so does Gamma(m): two normalizations
+                    per n, whatever m is, and one at m = 1, where only
+                    (n,) occurs.
   contraction rule  forgetting factor j sends D(1_I) to the indicator
                     diagonal of I minus j on X^(m-1).  A set J of size k
                     among the other m-1 factors is hit exactly twice: by
                     I = J, which misses j, and by I = J plus j.  So O_k on
                     m factors goes to O_k + O_(k-1) on m-1 factors, and
-                    sum_k a_k O_k goes to sum_k (a_k + a_(k+1)) O_k.  Two
-                    ends fall away.  The target O_0 is D(0): the singleton
-                    {j} contracts onto the zero section, a point, and dies
-                    because g >= 1.  The source O_m has no image among the
-                    sets without j, as its one set contains j; on m-1
-                    factors there is no set of size m.  For Gamma(m),
-                    a_k + a_(k+1) = 0 for every k >= 1, so every
+                    sum_k a_k O_k goes to sum_k (a_k + a_(k+1)) O_k,
+                    k = 1..m-1, the same for every j.  Two ends fall away.
+                    The target O_0 is D(0): the singleton {j} contracts
+                    onto the zero section, a point, and dies because
+                    g >= 1.  The source O_m has no image among the sets
+                    without j, as its one set contains j; on m-1 factors
+                    there is no set of size m.  The signs of Gamma(m)
+                    alternate, a_k + a_(k+1) = 0 for every k, so every
                     contraction vanishes.
 
-The source O_0 would be the point D(0) itself, which names no twisted
-diagonal, so a_0 is always 0.  The tuple calculus on 2^m vectors stays the
-oracle these rules are tested against.
+The tuple calculus on 2^m vectors stays the oracle these rules are tested
+against.
 
 Soundness is asymmetric.  Every rewrite above is an identity in the
 rational Chow group, so a formal result of zero proves vanishing there.  A
@@ -262,86 +260,10 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
     )
 
 
-@dataclass(frozen=True)
-class OrbitCycle:
-    """The combination sum_k coeffs[k] * O_k on X^m, k = 0..m, where O_k is
-    the sum of the indicator diagonals D(1_I) with |I| = k.
-
-    Coefficients are exact rationals, ``int`` for the modified diagonal.
-    coeffs[0] must be 0: O_0 would be the point D(0), no twisted diagonal.
-    """
-
-    ambient: Ambient
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ambient.m + 1:
-            raise ValueError(
-                f"expected {self.ambient.m + 1} orbit coefficients, got {len(self.coeffs)}"
-            )
-        if self.coeffs[0]:
-            raise ValueError("O_0 is a point, not a twisted diagonal; coeffs[0] must be 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-def modified_diagonal_orbits(ambient: Ambient) -> OrbitCycle:
-    """The modified diagonal as orbit sums: O_k enters with (-1)^(m-k)."""
-    m = ambient.m
-    return OrbitCycle(ambient, (0,) + tuple(-1 if (m - k) & 1 else 1 for k in range(1, m + 1)))
-
-
-def orbit_proj_pushforward(c: OrbitCycle) -> OrbitCycle:
-    """Pushforward of an orbit sum along the projection forgetting any one
-    factor j.
-
-    O_k goes to O_k + O_(k-1) on m-1 factors: the sets of size k without j
-    keep their size and those with j lose it (module docstring).  The
-    target O_0 is a point and dies, and the source O_m has no image among
-    the sets without j.  Indicator vectors are already canonical, so no
-    orbit picks up a gcd factor.  The fold is the same for every j, so it
-    takes no j and is computed once for all m contractions.  Requires
-    m >= 2, as ``proj_pushforward`` does.
-    """
-    amb = c.ambient
-    if amb.m < 2:
-        raise ValueError("cannot contract the only factor")
-    a = c.coeffs
-    # I = J misses j (size k); I = J plus j has size k + 1
-    out = (0,) + tuple(a[k] + a[k + 1] for k in range(1, amb.m))
-    return OrbitCycle(Ambient(amb.g, amb.m - 1), out)
-
-
-def orbit_mult_pushforward(c: OrbitCycle, n: int) -> OrbitCycle:
-    """Pushforward of an orbit sum along multiplication by n on every factor.
-
-    The representative of each orbit O_k is pushed as its run values, (n, 0)
-    for k < m and (n,) for k = m.  Each run shape is normalized once and the
-    coefficients are folded in one pass, so the work is O(m) (module
-    docstring).  The image's orbit is read from the normalized runs, never
-    assumed; an image that is no indicator is no orbit sum and raises
-    ValueError.  n follows ``mult_pushforward_all``: n = 0 raises
-    ValueError, and a bool, float, string or Fraction raises TypeError.
-    """
-    n = _as_int(n)
-    if n == 0:
-        raise ValueError("n = 0 collapses the whole product; rejected")
-    amb = c.ambient
-    m = amb.m
-    a = c.coeffs
-    out = [0] * (m + 1)
-    for shape, orbits in (((n, 0), range(1, m)), ((n,), (m,))):
-        factor, runs = normalize_twist(shape, Ambient(amb.g, len(shape)))
-        if not set(runs) <= {0, 1}:
-            raise ValueError(f"multiplication by {n} sends the runs {shape} to {runs}, no indicator")
-        for k in orbits:
-            if a[k]:
-                # runs[0] fills the first k factors, runs[-1] the other m - k
-                size = runs[0] * k + runs[-1] * (m - k)
-                out[size] += factor * a[k] * (1 if size == k else math.comb(m, k) // math.comb(m, size))
-    return OrbitCycle(amb, tuple(out))
+def _orbit_signs(m: int) -> tuple[int, ...]:
+    """The coefficients a_1..a_m of Gamma(m) = sum over k of a_k O_k on m
+    factors: a_k = (-1)^(m-k) (module docstring)."""
+    return tuple(-1 if (m - k) & 1 else 1 for k in range(1, m + 1))
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

@@ -11,14 +11,16 @@ The vanishing argument for the modified diagonal is replayed as a
 certificate with one step per move:
 
   1. its multiplication pushforward scales by n^(2g), checked exactly by
-     the diagonal calculus on a sample of n.  The check runs on the m+1
-     orbit coefficients (``diagonals`` docstring): the gcd and sign rules
-     act on the two run shapes of the representatives D(1_{1..k}), and the
-     image's coefficients are compared with n^(2g) times the source's, in
-     O(m) per n in place of all 2^m - 1 twisted diagonals;
-  2. contracting any factor kills it, checked exactly by folding the m+1
-     orbit coefficients, O_k -> O_k + O_(k-1).  The fold is the same for
-     every factor j, so it is computed once and listed for each j;
+     the diagonal calculus on a sample of n.  The gcd and sign rules act
+     on the run shapes of the indicator vectors, (n, 0) and (n,)
+     (``diagonals`` docstring), which must normalize to (1, 0) and (1,)
+     with the factor n^(2g): two normalizations per n, whatever m is, in
+     place of all 2^m - 1 twisted diagonals;
+  2. contracting any factor kills it, checked exactly on the alternating
+     signs a_k = (-1)^(m-k) of Gamma(m) = sum_k a_k O_k: a contraction
+     folds them into a_k + a_(k+1), k = 1..m-1, each of which must be 0.
+     The fold is the same for every factor j, so it is computed once and
+     listed for each j;
   3. the decomposition above is imported as an explicit axiom, never
      silently;
   4. step 1 pins the class to total weight 2g(m-1);
@@ -39,14 +41,15 @@ certificate with one step per move:
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
-     an image S carry c(S), a product over the factors outside S computed
-     once for each image size, and each image with c != 0
-     (``cohomology._live_images``) gives one profile per composition of 2g
-     into |S| positive parts: the same bounded walk lists its entries on
-     S, and 2g is placed off S.  Only S = {1..m} survives, so the shadow
-     is zero for m >= 2g+1 and is otherwise supported on C(2g-1, m-1)
-     profiles, each checked against the definition of a survivor rather
-     than against the list of step 5.
+     an image S carry c(S), the power ((+1) + (-1))^(m-|S|) with one
+     factor per factor outside S, computed once for each image size, and
+     each image with c != 0 (``cohomology._live_images``) gives one
+     profile per composition of 2g into |S| positive parts: the same
+     bounded walk lists its entries on S, and 2g is placed off S.  Only
+     S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
+     otherwise supported on C(2g-1, m-1) profiles, a count checked against
+     that binomial, and each profile against the definition of a survivor,
+     rather than against the list of step 5.
 
 For m <= 2g the pigeonhole step reports its counterexample and the
 certificate makes no claim about vanishing; nothing is overstated in
@@ -63,15 +66,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .cohomology import _live_images
-from .diagonals import (
-    Ambient,
-    OrbitCycle,
-    _as_int,
-    _as_ints,
-    modified_diagonal_orbits,
-    orbit_mult_pushforward,
-    orbit_proj_pushforward,
-)
+from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, normalize_twist
 
 MultiDegree = tuple[int, ...]
 
@@ -119,9 +114,9 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
 def graded_dimension(g: int, m: int) -> int:
     """C(2gm, 2g), the measure by which ``max_dim`` bounds the cohomology
     shadow.  It bounds the shadow's work soundly, if loosely: that work is
-    at most min(2g, m) products of at most m - 1 factors, for c(S), plus one
-    profile per composition of 2g into m positive parts, and 2g(m-1) +
-    C(2g-1, m-1) <= C(2gm, 2g)."""
+    at most min(2g, m) integer powers, for c(S), plus one profile per
+    composition of 2g into m positive parts, C(2g-1, m-1) <= C(2gm, 2g) of
+    them."""
     return comb(2 * g * m, 2 * g)
 
 
@@ -332,22 +327,17 @@ def certificate_to_text(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scales_by(orbits: OrbitCycle, n: int, factor: int) -> bool:
-    """Whether multiplication by n sends the orbit sum to factor times
-    itself; an image that is no orbit sum does not."""
-    try:
-        image = orbit_mult_pushforward(orbits, n)
-    except ValueError:
-        return False
-    return image == OrbitCycle(orbits.ambient, tuple(factor * a for a in orbits.coeffs))
-
-
 def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
-    orbits = modified_diagonal_orbits(Ambient(g, m))
+    # the run shapes of the indicator vectors 1_I (``diagonals`` docstring)
+    shapes = ((1, 0), (1,)) if m >= 2 else ((1,),)
     checks = []
     for n in mult_sample:
         factor = n ** (2 * g)
-        checks.append({"n": n, "factor": factor, "verified": _scales_by(orbits, n, factor)})
+        verified = all(
+            normalize_twist([n * x for x in shape], Ambient(g, len(shape))) == (factor, shape)
+            for shape in shapes
+        )
+        checks.append({"n": n, "factor": factor, "verified": verified})
     mult_step = Step(
         id="mult-eigenvalue",
         kind=FORMAL_IDENTITY,
@@ -360,7 +350,9 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         witness={"checks": checks},
     )
     if m >= 2:
-        vanishes = orbit_proj_pushforward(orbits).is_zero
+        # a contraction folds Gamma(m) = sum_k a_k O_k into sum_k (a_k + a_(k+1)) O_k
+        signs = _orbit_signs(m)
+        vanishes = not any(a + b for a, b in zip(signs, signs[1:]))
         contractions = [{"j": j, "vanishes": vanishes} for j in range(1, m + 1)]
         statement = f"contracting any one of the {m} factors kills the modified diagonal"
     else:
@@ -502,9 +494,11 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     bounded walk with 2g placed off the image.
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
-    term of the class is built.  At m <= 2g each profile of the support is
-    checked against the definition of a survivor, total 2g(m-1) and every
-    entry in 0..2g-1, not against the grading layer's list."""
+    term of the class is built.  At m <= 2g the support must hold
+    C(2g-1, m-1) profiles, a binomial that does not come from the walk, and
+    each of them is checked against the definition of a survivor, total
+    2g(m-1) and every entry in 0..2g-1, not against the grading layer's
+    list."""
     dim = graded_dimension(g, m)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
@@ -531,7 +525,7 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
         else:
             contained = all(_is_survivor(p, g, m) for p in support)
             witness["survivor_containment"] = "verified" if contained else "violated"
-            ok = top_clear and contained
+            ok = top_clear and contained and len(support) == comb(top - 1, m - 1)
             statement = (
                 "the exterior-algebra realization is supported on surviving Kunneth"
                 " profiles, none containing a top entry; nonvanishing is reported, not claimed"

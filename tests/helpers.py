@@ -5,14 +5,13 @@ multidegrees are re-derived by filtering a full cartesian product, and
 pushforwards are checked against the adjunction that defines them, using
 only wedge, integrate and pullback, and against the dual-basis walk over
 the whole target graded piece that their enumeration replaced.  Orbit
-sums are expanded back into all 2^m indicator diagonals and built through
-``cycle``, or written as one representative diagonal per orbit, the form
-the multiplication check used before it folded orbit coefficients.  The
-Kunneth survivors are re-walked flat, one size-2g multiset of factor
-positions at a time.  Certificates are written by the
-standard library's ``json.dumps``, the form their direct writer replaced.
-The shadow's image coefficient c(S) is summed by superset size, one
-binomial per size, the form its product over factors replaced.
+sums, given by their coefficients on O_1..O_m, are expanded back into all
+2^m - 1 indicator diagonals and built through ``cycle``.  The Kunneth
+survivors are re-walked flat, one size-2g multiset of factor positions at
+a time.  Certificates are written by the standard library's
+``json.dumps``, the form their direct writer replaced.  The shadow's image
+coefficient c(S) is summed by superset size, one binomial per size, the
+form its power of (+1) + (-1) replaced.
 """
 
 from __future__ import annotations
@@ -186,28 +185,14 @@ def random_homogeneous(rng: random.Random, ambient: Ambient, degree: int, max_te
     return ext_class(ambient, terms)
 
 
-def expand_orbits(c):
-    """sum_k c.coeffs[k] * O_k written out over every nonempty subset I of
-    the factors, the tuple form the orbit rules replace."""
-    m = c.ambient.m
+def expand_orbits(ambient: Ambient, coeffs) -> FormalCycle:
+    """sum_k coeffs[k-1] * O_k, k = 1..m, written out over every nonempty
+    subset I of the factors and built through ``cycle``: the tuple form of
+    the orbit sums that the formal layer's checks read."""
+    m = ambient.m
     terms = []
     for bits in range(1, 1 << m):
-        coeff = c.coeffs[bits.bit_count()]
+        coeff = coeffs[bits.bit_count() - 1]
         if coeff:
             terms.append((tuple((bits >> i) & 1 for i in range(m)), coeff))
-    return cycle(c.ambient, terms)
-
-
-def orbit_representatives(c) -> FormalCycle:
-    """One twisted diagonal per orbit: c.coeffs[k] * D(1, .., 1, 0, .., 0)
-    with k ones, for each k >= 1 with a nonzero coefficient.
-
-    Every operation on all factors at once commutes with permuting them, so
-    it acts on each orbit as on its representative.  The representatives'
-    images have distinct support sizes, so no two fold together.
-    """
-    m = c.ambient.m
-    return FormalCycle(
-        c.ambient,
-        {(1,) * k + (0,) * (m - k): a for k, a in enumerate(c.coeffs) if a},
-    )
+    return cycle(ambient, terms)

@@ -2,13 +2,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import modiag.diagonals
-from helpers import expand_orbits, orbit_representatives, random_cycle
+from helpers import expand_orbits, random_cycle
 from modiag import (
     Ambient,
     cycle,
@@ -25,12 +26,7 @@ from modiag import (
     zero_cycle,
 )
 from modiag import grading, replay_proof
-from modiag.diagonals import (
-    OrbitCycle,
-    modified_diagonal_orbits,
-    orbit_mult_pushforward,
-    orbit_proj_pushforward,
-)
+from modiag.diagonals import _orbit_signs
 
 
 def test_ambient_validation():
@@ -326,32 +322,30 @@ def test_soundness_asymmetry_documented():
 NONZERO_N = tuple(n for n in range(-5, 6) if n)
 
 
-def _scaled(c: OrbitCycle, factor: int) -> OrbitCycle:
-    return OrbitCycle(c.ambient, tuple(factor * a for a in c.coeffs))
-
-
 def test_modified_diagonal_orbits_expand_to_the_modified_diagonal():
     for g, m in itertools.product((1, 2), range(1, 13)):
         amb = Ambient(g, m)
-        assert cycle_equal(expand_orbits(modified_diagonal_orbits(amb)), modified_diagonal(amb))
+        assert cycle_equal(expand_orbits(amb, _orbit_signs(m)), modified_diagonal(amb))
 
 
 def test_orbit_path_agrees_with_the_tuple_calculus():
-    # The certificate's formal witnesses, computed on orbit sums, against the
-    # same checks run on all 2^m - 1 twisted diagonals (md is the expansion
-    # of the orbits, test above).
-    for g, m in itertools.product((1, 2), range(1, 13)):
+    # The certificate's formal witnesses, read from the run shapes and the
+    # orbit signs, against the same checks run on all 2^m - 1 twisted
+    # diagonals (md is the expansion of the signs, test above).
+    for g, m in itertools.product((1, 2, 3), range(1, 13)):
         amb = Ambient(g, m)
         md = modified_diagonal(amb)
-        orbits = modified_diagonal_orbits(amb)
         cert = replay_proof(g, m, layers=("formal",), mult_sample=NONZERO_N)
         mult, contraction = cert.steps
+        assert [c["n"] for c in mult.witness["checks"]] == list(NONZERO_N)
         for check in mult.witness["checks"]:
             n = check["n"]
             expected = cycle_scale(md, n ** (2 * g))
             assert check["verified"] is cycle_equal(mult_pushforward_all(md, n), expected) is True
         assert [c["j"] for c in contraction.witness["checks"]] == list(range(1, m + 1) if m >= 2 else [])
-        folded = expand_orbits(orbit_proj_pushforward(orbits)) if m >= 2 else None
+        signs = _orbit_signs(m)
+        fold = [a + b for a, b in zip(signs, signs[1:])]
+        folded = expand_orbits(Ambient(g, m - 1), fold) if m >= 2 else None
         for check in contraction.witness["checks"]:
             contracted = proj_pushforward(md, check["j"])
             assert check["vanishes"] is contracted.is_zero is True
@@ -359,103 +353,58 @@ def test_orbit_path_agrees_with_the_tuple_calculus():
 
 
 @st.composite
-def orbit_cycles(draw):
+def orbit_coefficients(draw):
     g = draw(st.integers(1, 2))
     m = draw(st.integers(2, 7))
-    coeffs = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
-    return OrbitCycle(Ambient(g, m), (0, *coeffs))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m) | st.just(list(_orbit_signs(m))))
+    return Ambient(g, m), tuple(coeffs)
 
 
-@given(orbit_cycles())
-def test_orbit_contraction_matches_the_expanded_pushforward(c):
-    # One fold stands for every contraction, so check it against each j.
-    got = orbit_proj_pushforward(c)
-    assert got.ambient == Ambient(c.ambient.g, c.ambient.m - 1)
-    expanded = expand_orbits(c)
-    for j in range(1, c.ambient.m + 1):
-        assert cycle_equal(proj_pushforward(expanded, j), expand_orbits(got))
-
-
-@st.composite
-def mult_orbit_cycles(draw):
-    g = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 8))
-    coeff = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
-    coeffs = draw(st.lists(coeff, min_size=m, max_size=m))
-    return OrbitCycle(Ambient(g, m), (0, *coeffs))
-
-
-@given(mult_orbit_cycles(), st.sampled_from([n for n in range(-7, 8) if n]))
-def test_orbit_mult_pushforward_matches_both_oracles(c, n):
-    # The orbit fold against the tuple calculus on one representative per
-    # orbit and on all 2^m - 1 indicator diagonals.
-    image = orbit_mult_pushforward(c, n)
-    assert image == _scaled(c, n ** (2 * c.ambient.g))
-    reps = orbit_representatives(c)
-    assert cycle_equal(orbit_representatives(image), mult_pushforward_all(reps, n))
-    assert cycle_equal(expand_orbits(image), mult_pushforward_all(expand_orbits(c), n))
-
-
-def test_orbit_mult_pushforward_argument_rules():
-    orbits = modified_diagonal_orbits(Ambient(1, 3))
-    for push, c in ((orbit_mult_pushforward, orbits), (mult_pushforward_all, expand_orbits(orbits))):
-        with pytest.raises(ValueError):
-            push(c, 0)
-        for n in (True, 1.0):
-            with pytest.raises(TypeError):
-                push(c, n)
-
-
-@pytest.mark.parametrize(
-    "rewrite", [lambda v: (1,) * len(v), lambda v: tuple(1 - x for x in v)], ids=["ones", "complement"]
-)
-def test_orbit_mult_pushforward_reads_the_image_orbit_from_the_runs(monkeypatch, rewrite):
-    # A normalization that sent each indicator to another indicator moves
-    # every orbit where the tuple calculus moves its sets, C(m, k) / C(m, k')
-    # times over; the image's orbit is read from the runs, not assumed.
-    real = modiag.diagonals.normalize_twist
-    c = OrbitCycle(Ambient(1, 5), (0, 0, 3, 0, 0, 0))  # no set of O_2 is the full one
-    expanded = expand_orbits(c)
-    monkeypatch.setattr(
-        modiag.diagonals, "normalize_twist", lambda raw, amb: (real(raw, amb)[0], rewrite(real(raw, amb)[1]))
-    )
-    image = orbit_mult_pushforward(c, 2)
-    pushed = mult_pushforward_all(expanded, 2)
-    monkeypatch.undo()
-    assert image != _scaled(c, 4)
-    assert cycle_equal(expand_orbits(image), pushed)
-
-
-def test_orbit_contraction_of_a_single_orbit():
-    # O_k goes to O_k + O_(k-1); O_1 leaves O_1 and a point, which dies.
-    amb = Ambient(1, 4)
-    o1 = OrbitCycle(amb, (0, 1, 0, 0, 0))
-    assert orbit_proj_pushforward(o1).coeffs == (0, 1, 0, 0)
-    o4 = OrbitCycle(amb, (0, 0, 0, 0, 1))
-    assert orbit_proj_pushforward(o4).coeffs == (0, 0, 0, 1)
-    for c in (o1, o4):
-        for j in range(1, 5):
-            assert cycle_equal(
-                expand_orbits(orbit_proj_pushforward(c)), proj_pushforward(expand_orbits(c), j)
-            )
+@given(orbit_coefficients())
+def test_orbit_contraction_matches_the_expanded_pushforward(case):
+    # The step's verdict on any coefficients a_1..a_m put in place of the
+    # signs of Gamma(m), against contracting each factor of their expansion.
+    amb, coeffs = case
+    with mock.patch.object(grading, "_orbit_signs", lambda m: coeffs):
+        cert = replay_proof(amb.g, amb.m, layers=("formal",))
+    expanded = expand_orbits(amb, coeffs)
+    checks = cert.steps[1].witness["checks"]
+    assert [c["j"] for c in checks] == list(range(1, amb.m + 1))
+    for check in checks:
+        assert check["vanishes"] is proj_pushforward(expanded, check["j"]).is_zero
 
 
 def test_contraction_witness_is_computed_from_the_orbits(monkeypatch):
-    # O_1 alone does not alternate, so no contraction kills it.
+    # Signs that do not alternate, O_1 alone or every O_k with +1, survive
+    # every contraction.
+    for signs in ((1, 0, 0, 0, 0), (1, 1, 1, 1, 1)):
+        calls = []
+        monkeypatch.setattr(grading, "_orbit_signs", lambda m: calls.append(m) or signs)
+        cert = replay_proof(1, 5, layers=("formal",))
+        assert calls == [5]
+        contraction = cert.steps[1]
+        assert [c["vanishes"] for c in contraction.witness["checks"]] == [False] * 5
+        assert (contraction.status, cert.result) == ("FAIL", "FAIL")
+
+
+def _patch_normalize_twist(monkeypatch, rewrite) -> list:
+    """Replace the normalization the formal step calls by rewrite(raw, amb,
+    real), and return the list of the raw vectors it is asked for."""
+    calls = []
+    real = grading.normalize_twist
+    assert real is modiag.diagonals.normalize_twist
     monkeypatch.setattr(
-        grading,
-        "modified_diagonal_orbits",
-        lambda amb: OrbitCycle(amb, (0, 1) + (0,) * (amb.m - 1)),
+        grading, "normalize_twist", lambda raw, amb: calls.append(tuple(raw)) or rewrite(raw, amb, real)
     )
-    cert = replay_proof(1, 5, layers=("formal",))
-    contraction = cert.steps[1]
-    assert [c["vanishes"] for c in contraction.witness["checks"]] == [False] * 5
-    assert (contraction.status, cert.result) == ("FAIL", "FAIL")
+    return calls
 
 
 def test_mult_witness_is_computed_from_the_representatives(monkeypatch):
-    monkeypatch.setattr(grading, "orbit_mult_pushforward", lambda c, n: c)
+    # A normalization that keeps the runs but reports the factor 1 is right
+    # only for n = 1.
+    calls = _patch_normalize_twist(monkeypatch, lambda raw, amb, real: (1, real(raw, amb)[1]))
     cert = replay_proof(1, 4, layers=("formal",), mult_sample=(1, 2))
+    assert calls
     assert [c["verified"] for c in cert.steps[0].witness["checks"]] == [True, False]
 
 
@@ -464,29 +413,25 @@ def test_mult_witness_fails_when_an_image_leaves_its_orbit(monkeypatch, runs):
     # Under n = 1 the representatives' runs (1, 0) come back as another
     # orbit's (the complement: O_k -> O_(5-k), which Gamma(5) does not
     # satisfy) or as no indicator at all; neither may verify.
-    real = modiag.diagonals.normalize_twist
-    monkeypatch.setattr(
-        modiag.diagonals,
-        "normalize_twist",
-        lambda raw, amb: (1, runs) if len(raw) == 2 else real(raw, amb),
+    calls = _patch_normalize_twist(
+        monkeypatch, lambda raw, amb, real: (1, runs) if len(raw) == 2 else real(raw, amb)
     )
     cert = replay_proof(1, 5, layers=("formal",), mult_sample=(1,))
+    assert (1, 0) in calls
     assert [c["verified"] for c in cert.steps[0].witness["checks"]] == [False]
     assert (cert.steps[0].status, cert.result) == ("FAIL", "FAIL")
 
 
-@pytest.mark.parametrize("m", [3, 50, 500])
+@pytest.mark.parametrize("m", [1, 3, 50, 500])
 def test_formal_layer_normalizes_each_run_shape_once_per_n(monkeypatch, m):
-    # The multiplication check's work is linear in m: two normalizations per
-    # sampled n, one per run shape, whatever m is.
-    calls = []
-    real = modiag.diagonals.normalize_twist
-    monkeypatch.setattr(
-        modiag.diagonals, "normalize_twist", lambda raw, amb: calls.append(len(raw)) or real(raw, amb)
-    )
+    # The multiplication check's work does not grow with m: one
+    # normalization per run shape and sampled n, of (n, 0) and (n,), and of
+    # (n,) alone at m = 1.
+    calls = _patch_normalize_twist(monkeypatch, lambda raw, amb, real: real(raw, amb))
     sample = (-3, -2, 2, 3)
     assert replay_proof(1, m, layers=("formal",), mult_sample=sample).result == "PASS"
-    assert len(calls) <= 2 * len(sample)
+    shapes = [(n,) for n in sample] if m == 1 else [(n, 0) for n in sample] + [(n,) for n in sample]
+    assert sorted(calls) == sorted(shapes)
 
 
 @pytest.mark.parametrize("m", [20, 200, 5000])
@@ -494,14 +439,3 @@ def test_formal_layer_passes_at_large_m(m):
     cert = replay_proof(1, m, layers=("formal",))
     assert cert.result == "PASS"
     assert len(cert.steps[1].witness["checks"]) == m
-
-
-def test_orbit_cycle_validation():
-    amb = Ambient(1, 3)
-    with pytest.raises(ValueError):
-        OrbitCycle(amb, (0, 1, 1))
-    with pytest.raises(ValueError):
-        OrbitCycle(amb, (1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        orbit_proj_pushforward(modified_diagonal_orbits(Ambient(1, 1)))
-

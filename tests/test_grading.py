@@ -526,6 +526,27 @@ def test_shadow_step_fails_on_a_support_that_is_no_survivor(monkeypatch, m, supp
     assert shadow.witness.get("survivor_containment") == containment
 
 
+@pytest.mark.parametrize("g,m", [(2, 3), (3, 4), (4, 5)])
+def test_shadow_step_fails_when_the_walk_drops_a_profile(monkeypatch, g, m):
+    # Every profile the faulty walk lists is still a survivor, so only the
+    # count against C(2g-1, m-1) can catch the one it drops.
+    real = grading._iter_bounded
+    walked = []
+
+    def drop_second(slots, total, cap):
+        tuples = list(real(slots, total, cap))
+        walked.append(len(tuples))
+        return iter(tuples[:1] + tuples[2:])
+
+    monkeypatch.setattr(grading, "_iter_bounded", drop_second)
+    cert = replay_proof(g, m, layers=("cohomology",), max_dim=10**14)
+    shadow = cert.steps[0]
+    assert walked == [math.comb(2 * g - 1, m - 1)]
+    assert len(shadow.witness["support"]) == walked[0] - 1
+    assert shadow.witness["survivor_containment"] == "verified"
+    assert (shadow.status, cert.result) == (FAIL, FAIL)
+
+
 @pytest.mark.parametrize(
     "call",
     [
