@@ -85,16 +85,14 @@ onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology (Beauville
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient, _Record
 from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Record):
     """One of the three map kinds between powers of X.
 
     kind "diagonal":   data is an integer vector v; the map is
@@ -110,10 +108,12 @@ class LinearMap:
     ``gen_position``.
     """
 
-    kind: str
-    source_blocks: int
-    target_blocks: int
-    data: tuple[int, ...]
+    def __init__(
+        self, kind: str, source_blocks: int, target_blocks: int, data: tuple[int, ...]
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, source_blocks=source_blocks, target_blocks=target_blocks, data=data
+        )
 
 
 def diagonal_map(v) -> LinearMap:
@@ -152,14 +152,14 @@ def scaling_map(factors) -> LinearMap:
     return LinearMap("scaling", len(factors), len(factors), factors)
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(_Record):
     """An exact cohomology class: a combination of basis monomials whose
     coefficients follow ``modiag.exact``, plain ``int`` in the closed form of
     the modified diagonal and ``Fraction`` where a caller passes one."""
 
-    ambient: Ambient
-    terms: dict  # bitmask -> nonzero int or Fraction
+    def __init__(self, ambient: Ambient, terms: dict) -> None:
+        # terms: bitmask -> nonzero int or Fraction
+        self.__dict__.update(ambient=ambient, terms=terms)
 
     @property
     def is_zero(self) -> bool:

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -80,17 +79,45 @@ from .exact import _add_term, _map_terms, combo_add, combo_scale, combo_sorted_i
 TwistVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Ambient:
+class _Record:
+    """Base of the package's immutable records.  They behave as frozen
+    dataclasses do, without importing ``dataclasses`` (and with it
+    ``inspect``) when the package loads.
+
+    Each subclass's ``__init__`` writes the fields into the instance
+    ``__dict__`` in constructor order, which ``vars``, ``repr`` and the
+    certificate writer read.  Records compare equal when their classes are
+    the same and their fields are equal, hash by their field values (a
+    record holding a dict is unhashable), and refuse assignment.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Ambient(_Record):
     """Shape of the ambient product: g = dim X >= 1, m = number of factors >= 1."""
 
-    g: int
-    m: int
-
-    def __post_init__(self) -> None:
-        for name, value in (("g", self.g), ("m", self.m)):
+    def __init__(self, g: int, m: int) -> None:
+        for name, value in (("g", g), ("m", m)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        self.__dict__.update(g=g, m=m)
 
 
 def _as_ints(values) -> tuple[int, ...]:
@@ -117,8 +144,7 @@ def _common_ambient(a, b) -> Ambient:
     return a.ambient
 
 
-@dataclass(frozen=True)
-class FormalCycle:
+class FormalCycle(_Record):
     """An exact rational combination of twisted diagonals on X^m.
 
     ``terms`` maps canonical TwistVectors to nonzero coefficients: ``int``
@@ -128,8 +154,8 @@ class FormalCycle:
     canonical.  Equality holds across the two types, since Fraction(k) == k.
     """
 
-    ambient: Ambient
-    terms: dict
+    def __init__(self, ambient: Ambient, terms: dict) -> None:
+        self.__dict__.update(ambient=ambient, terms=terms)
 
     @property
     def is_zero(self) -> bool:

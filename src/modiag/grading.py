@@ -59,14 +59,13 @@ identical for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
 
 from .cohomology import _live_images
-from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, normalize_twist
+from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, _Record, normalize_twist
 
 MultiDegree = tuple[int, ...]
 
@@ -235,8 +234,7 @@ def _is_survivor(t: MultiDegree, g: int, m: int) -> bool:
     return sum(t) == 2 * g * (m - 1) and all(0 <= i < 2 * g for i in t)
 
 
-@dataclass(frozen=True)
-class PigeonholeOutcome:
+class PigeonholeOutcome(_Record):
     """Result of the counting argument at total weight 2g(m-1).
 
     The complements 2g - i_j of a multidegree with no entry 2g are all at
@@ -246,12 +244,23 @@ class PigeonholeOutcome:
     survivor, which for m = 2g is the unique one (2g-1, ..., 2g-1).
     """
 
-    g: int
-    m: int
-    weight: int
-    complement_total: int
-    holds: bool
-    counterexample: MultiDegree | None
+    def __init__(
+        self,
+        g: int,
+        m: int,
+        weight: int,
+        complement_total: int,
+        holds: bool,
+        counterexample: MultiDegree | None,
+    ) -> None:
+        self.__dict__.update(
+            g=g,
+            m=m,
+            weight=weight,
+            complement_total=complement_total,
+            holds=holds,
+            counterexample=counterexample,
+        )
 
 
 def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
@@ -263,28 +272,25 @@ def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
     return PigeonholeOutcome(g, m, weight, 2 * g, False, cex)
 
 
-@dataclass(frozen=True)
-class Step:
-    id: str
-    kind: str
-    statement: str
-    reference: str
-    status: str
-    witness: dict
+class Step(_Record):
+    def __init__(
+        self, id: str, kind: str, statement: str, reference: str, status: str, witness: dict
+    ) -> None:
+        self.__dict__.update(
+            id=id, kind=kind, statement=statement, reference=reference, status=status, witness=witness
+        )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    schema_version: str
-    g: int
-    m: int
-    steps: tuple[Step, ...]
-    result: str
+class Certificate(_Record):
+    def __init__(
+        self, schema_version: str, g: int, m: int, steps: tuple[Step, ...], result: str
+    ) -> None:
+        self.__dict__.update(schema_version=schema_version, g=g, m=m, steps=steps, result=result)
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """Deterministic JSON of the dataclass fields, whose declaration order is
-    the key order, written directly by ``_to_json``.  The text is byte for
+    """Deterministic JSON of the record fields, in constructor order, which
+    is the key order, written directly by ``_to_json``.  The text is byte for
     byte ``json.dumps(cert, default=vars, indent=2) + "\\n"``, which the
     tests keep as the oracle; that form runs the standard library's
     pure-Python encoder, because ``indent`` turns its C encoder off."""

@@ -39,7 +39,8 @@ from modiag.exact import _add_term
 
 def json_oracle(cert) -> str:
     """The oracle for ``certificate_to_json``: the standard library's
-    indented encoder, reading the dataclass fields with ``vars``."""
+    indented encoder, reading the record fields, in constructor order,
+    with ``vars``."""
     return json.dumps(cert, default=vars, indent=2) + "\n"
 
 

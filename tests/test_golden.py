@@ -23,10 +23,10 @@ keyword arguments listed for it, pinning what the command line cannot
 reach.  The files were written by ``json.dumps(indent=2)`` before
 certificates were written directly; that form stays the oracle in
 ``helpers.json_oracle``.  The (1,3) file was written before certificates
-were serialized from their dataclasses; its ``cohomology-shadow`` step is
-SKIPPED.  Its ``kunneth-survivors`` step, and that of the (3,40) file, were
-rewritten when the enumeration bound that SKIPped them was retired: they
-list their empty survivor set.  The (2,7) file was written before the orbit-sum
+were serialized from their record fields, in constructor order; its
+``cohomology-shadow`` step is SKIPPED.  Its ``kunneth-survivors`` step,
+and that of the (3,40) file, were rewritten when the enumeration bound
+that SKIPped them was retired: they list their empty survivor set.  The (2,7) file was written before the orbit-sum
 formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
 and sign rules.  The formal (1,500) certificate and the formal and grading
 (3,40) certificate, whose sample holds -1, 1 and 5, were written while the

