@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
 from .grading import (
     DEFAULT_LAYERS,
@@ -77,7 +78,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         if s.id == "cohomology-shadow" and s.status == SKIPPED:
             print(
                 f"error: the cohomology layer at g={cert.g} m={cert.m} needs a graded piece of"
-                f" dimension {s.witness['graded_dimension']}, at or above the bound"
+                f" dimension {Decimal(s.witness['graded_dimension'])}, at or above the bound"
                 f" {s.witness['max_dim']}; raise --max-dim or drop the layer",
                 file=sys.stderr,
             )
@@ -122,7 +123,7 @@ def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
     else:
         cohomology = "zero" if shadow.witness["is_zero"] else "nonzero"
     prediction = "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)"
-    return f"{m:>3}  {formal:<7}{survivors:>10}  {cohomology:<11}{prediction}", _accepted(cert)
+    return f"{m:>3}  {formal:<7}{Decimal(survivors):>10}  {cohomology:<11}{prediction}", _accepted(cert)
 
 
 def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
@@ -145,19 +146,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.genus < 1:
         parser.error(f"--genus must be >= 1, got {args.genus}")
-    # Certificates state exact integers such as n^(2g), which can pass
-    # Python's int-to-text digit limit; parsing above keeps the limit.
-    # Python 3.10 before 3.10.7 has no such limit.
-    old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if old is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        return cmd_survey(args, parser)
-    finally:
-        if old is not None:
-            sys.set_int_max_str_digits(old)
+    if args.command == "verify":
+        return cmd_verify(args, parser)
+    return cmd_survey(args, parser)
 
 
 if __name__ == "__main__":

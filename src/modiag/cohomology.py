@@ -88,7 +88,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _common_ambient, _Record
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _Record
 from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
@@ -152,18 +152,10 @@ def scaling_map(factors) -> LinearMap:
     return LinearMap("scaling", len(factors), len(factors), factors)
 
 
-class ExtClass(_Record):
+class ExtClass(_Combination):
     """An exact cohomology class: a combination of basis monomials whose
     coefficients follow ``modiag.exact``, plain ``int`` in the closed form of
     the modified diagonal and ``Fraction`` where a caller passes one."""
-
-    def __init__(self, ambient: Ambient, terms: dict) -> None:
-        # terms: bitmask -> nonzero int or Fraction
-        self.__dict__.update(ambient=ambient, terms=terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def _generator_count(ambient: Ambient) -> int:

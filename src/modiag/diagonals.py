@@ -144,7 +144,20 @@ def _common_ambient(a, b) -> Ambient:
     return a.ambient
 
 
-class FormalCycle(_Record):
+class _Combination(_Record):
+    """Base of the two combination records, ``FormalCycle`` and
+    ``ExtClass``: an ambient, and ``terms`` mapping basis keys (twist
+    vectors, or monomial bitmasks) to nonzero exact coefficients."""
+
+    def __init__(self, ambient: Ambient, terms: dict) -> None:
+        self.__dict__.update(ambient=ambient, terms=terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class FormalCycle(_Combination):
     """An exact rational combination of twisted diagonals on X^m.
 
     ``terms`` maps canonical TwistVectors to nonzero coefficients: ``int``
@@ -153,13 +166,6 @@ class FormalCycle(_Record):
     normalize raw vectors and fold coefficients, keeping the representation
     canonical.  Equality holds across the two types, since Fraction(k) == k.
     """
-
-    def __init__(self, ambient: Ambient, terms: dict) -> None:
-        self.__dict__.update(ambient=ambient, terms=terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:

@@ -59,6 +59,7 @@ identical for identical inputs.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
@@ -301,7 +302,9 @@ def _to_json(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, default=vars, indent=2)`` writes it,
     with ``newline`` the line break plus the current indentation.  Only what
     that form writes the same way is accepted: a float, a non-string key or
-    an object without ``__dict__`` raises TypeError."""
+    an object without ``__dict__`` raises TypeError.  An int past Python's
+    int-to-text digit limit, which ``int.__repr__`` refuses, is written
+    through ``Decimal``, which converts any int exactly."""
     if value is True:
         return "true"
     if value is False:
@@ -309,7 +312,10 @@ def _to_json(value, newline: str) -> str:
     if value is None:
         return "null"
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # past the int-to-text digit limit
+            return str(Decimal(value))
     if isinstance(value, str):
         return _quote(value)
     inner = newline + "  "
@@ -501,16 +507,16 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
     term of the class is built.  At m <= 2g the support must hold
-    C(2g-1, m-1) profiles, a binomial that does not come from the walk, and
-    each of them is checked against the definition of a survivor, total
-    2g(m-1) and every entry in 0..2g-1, not against the grading layer's
-    list."""
+    C(2g-1, m-1) distinct profiles, a binomial that does not come from the
+    walk, and each of them is checked against the definition of a survivor,
+    total 2g(m-1) and every entry in 0..2g-1, not against the grading
+    layer's list."""
     dim = graded_dimension(g, m)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
         statement = (
             f"the exterior-algebra realization would walk a graded piece of"
-            f" dimension {dim}, beyond the configured bound"
+            f" dimension {Decimal(dim)}, beyond the configured bound"
         )
         status = SKIPPED
         witness["max_dim"] = max_dim
@@ -531,7 +537,8 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
         else:
             contained = all(_is_survivor(p, g, m) for p in support)
             witness["survivor_containment"] = "verified" if contained else "violated"
-            ok = top_clear and contained and len(support) == comb(top - 1, m - 1)
+            distinct = all(a < b for a, b in zip(support, support[1:]))
+            ok = top_clear and contained and distinct and len(support) == comb(top - 1, m - 1)
             statement = (
                 "the exterior-algebra realization is supported on surviving Kunneth"
                 " profiles, none containing a top entry; nonvanishing is reported, not claimed"

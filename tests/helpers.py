@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -35,6 +36,12 @@ from modiag import (
 )
 from modiag.cohomology import _degree_one_images, _merge_sign, _pull_monomial
 from modiag.exact import _add_term
+
+
+def digit_limit():
+    """The interpreter's int-to-text digit limit; Python 3.10 before 3.10.7
+    has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def json_oracle(cert) -> str:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from modiag import cli, grading
+from helpers import digit_limit
+from modiag import certificate_to_json, cli, grading, replay_proof
 from modiag.cli import main
 
 
@@ -115,16 +117,10 @@ LAYER_SUBSETS = [
 ]
 
 
-def digit_limit():
-    # Python 3.10 before 3.10.7 has no int-to-text digit limit.
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
-
-
 def test_verify_finishes_or_refuses_at_large_genus(capsys):
-    # The shadow's 2g columns pass the recursion limit from g = 495.  The
-    # certificate's exact integers pass the digit limit from g = 4507 at m = 2
-    # (n^(2g)) and from g = 2594 at m = 3 (C(2gm, 2g)); the command line leaves
-    # that limit as it found it.
+    # The certificate's exact integers pass the digit limit from g = 4507 at
+    # m = 2 (n^(2g)) and from g = 2594 at m = 3 (C(2gm, 2g)); they are
+    # written past it, and the limit stays as it was.
     limit = digit_limit()
     for g, m, layers in itertools.product((1, 3, 600, 2600, 4600), (1, 2, 3, 7), LAYER_SUBSETS):
         code = main(["verify", "--genus", str(g), "--power", str(m), "--layers", layers])
@@ -136,16 +132,18 @@ def test_verify_finishes_or_refuses_at_large_genus(capsys):
 def test_verify_states_an_exact_factor_past_the_digit_limit(capsys):
     code, out, _ = run_cli(capsys, "verify", "--genus", "5000", "--power", "2", "--layers", "formal")
     assert code == 0
-    limit = digit_limit()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        factor = str(3 ** 10000)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    factor = str(Decimal(3 ** 10000))
     assert len(factor) > 4300
     assert f'"factor": {factor},' in out
+
+
+def test_library_json_past_the_digit_limit_matches_the_command_line(capsys):
+    # 3^(2g) has 4,301 digits at g = 4507.
+    limit = digit_limit()
+    code, out, _ = run_cli(capsys, "verify", "--genus", "4507", "--power", "2", "--layers", "formal")
+    assert code == 0
+    assert certificate_to_json(replay_proof(4507, 2, layers=("formal",))) == out
+    assert digit_limit() == limit
 
 
 def test_verify_shadow_at_first_vanishing_power_g3(capsys):

@@ -31,7 +31,10 @@ formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
 and sign rules.  The formal (1,500) certificate and the formal and grading
 (3,40) certificate, whose sample holds -1, 1 and 5, were written while the
 multiplication check still pushed one representative diagonal per orbit,
-before it folded the orbit coefficients.
+before it folded the orbit coefficients.  The cohomology (2600,3) file
+states C(2gm, 2g), 4,311 digits, in its SKIPPED step; it was written with
+Python's int-to-text digit limit lifted, before the library wrote such
+integers itself.
 """
 
 from pathlib import Path
@@ -95,6 +98,7 @@ LIBRARY_GOLDEN = {
     "replay-g3-m40-formal-grading.json": dict(
         g=3, m=40, layers=("formal", "grading"), mult_sample=(-1, 1, 5)
     ),
+    "replay-g2600-m3-cohomology-skipped.json": dict(g=2600, m=3, layers=("cohomology",)),
 }
 
 

@@ -3,13 +3,14 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_admissible, flat_kunneth_survivors, json_oracle
+from helpers import brute_admissible, digit_limit, flat_kunneth_survivors, json_oracle
 from modiag import (
     Ambient,
     admissible_degrees,
@@ -445,6 +446,20 @@ def test_cohomology_bound_skips_without_silence():
     assert cert.result == PASS
 
 
+def test_cohomology_bound_skips_past_the_digit_limit():
+    # C(2gm, 2g) has 4,311 digits at (2600, 3); the SKIPPED statement and the
+    # JSON state it exactly, and the interpreter's limit stays as it was.
+    limit = digit_limit()
+    cert = replay_proof(2600, 3, layers=("cohomology",))
+    (shadow,) = cert.steps
+    assert shadow.status == SKIPPED
+    dimension = str(Decimal(math.comb(15600, 5200)))
+    assert len(dimension) == 4311
+    assert shadow.statement.endswith(f" dimension {dimension}, beyond the configured bound")
+    assert f'"graded_dimension": {dimension},' in certificate_to_json(cert)
+    assert digit_limit() == limit
+
+
 def test_cohomology_step_consistent_for_small_m():
     cert = replay_proof(2, 2, layers=("grading", "cohomology"))
     shadow = next(s for s in cert.steps if s.kind == "COHOMOLOGY_CHECK")
@@ -526,23 +541,37 @@ def test_shadow_step_fails_on_a_support_that_is_no_survivor(monkeypatch, m, supp
     assert shadow.witness.get("survivor_containment") == containment
 
 
-@pytest.mark.parametrize("g,m", [(2, 3), (3, 4), (4, 5)])
-def test_shadow_step_fails_when_the_walk_drops_a_profile(monkeypatch, g, m):
-    # Every profile the faulty walk lists is still a survivor, so only the
-    # count against C(2g-1, m-1) can catch the one it drops.
+SHADOW_WALK_FAULTS = {
+    "drop": lambda tuples: tuples[:1] + tuples[2:],
+    "repeat": lambda tuples: tuples[:1] + tuples[:1] + tuples[2:],
+}
+
+
+@pytest.mark.parametrize(
+    "g,m,fault",
+    [
+        pytest.param(g, m, fault, id=f"{g}-{m}" if fault == "drop" else f"{g}-{m}-{fault}")
+        for fault in SHADOW_WALK_FAULTS
+        for g, m in [(2, 3), (3, 4), (4, 5)]
+    ],
+)
+def test_shadow_step_fails_when_the_walk_drops_a_profile(monkeypatch, g, m, fault):
+    # Every profile the faulty walk lists is still a survivor.  Only the count
+    # against C(2g-1, m-1) catches the one it drops, and only the strict order
+    # of the sorted support the one it repeats in place of another.
     real = grading._iter_bounded
     walked = []
 
-    def drop_second(slots, total, cap):
+    def faulty(slots, total, cap):
         tuples = list(real(slots, total, cap))
         walked.append(len(tuples))
-        return iter(tuples[:1] + tuples[2:])
+        return iter(SHADOW_WALK_FAULTS[fault](tuples))
 
-    monkeypatch.setattr(grading, "_iter_bounded", drop_second)
+    monkeypatch.setattr(grading, "_iter_bounded", faulty)
     cert = replay_proof(g, m, layers=("cohomology",), max_dim=10**14)
     shadow = cert.steps[0]
     assert walked == [math.comb(2 * g - 1, m - 1)]
-    assert len(shadow.witness["support"]) == walked[0] - 1
+    assert len(shadow.witness["support"]) == walked[0] - (fault == "drop")
     assert shadow.witness["survivor_containment"] == "verified"
     assert (shadow.status, cert.result) == (FAIL, FAIL)
 
