@@ -88,7 +88,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _Record
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _int_repr, _Record
 from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
@@ -129,7 +129,7 @@ def projection_map(source_blocks: int, retained) -> LinearMap:
     if not retained:
         raise ValueError("a projection must retain at least one factor")
     if any(not 1 <= j <= source_blocks for j in retained):
-        raise ValueError(f"retained factors must lie in 1..{source_blocks}")
+        raise ValueError(f"retained factors must lie in 1..{_int_repr(source_blocks)}")
     if any(a >= b for a, b in zip(retained, retained[1:])):
         raise ValueError("retained factors must be strictly increasing")
     return LinearMap("projection", source_blocks, len(retained), retained)
@@ -141,7 +141,7 @@ def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
     if source_blocks < 2:
         raise ValueError("cannot drop the only factor")
     if not 1 <= j <= source_blocks:
-        raise IndexError(f"factor index must lie in 1..{source_blocks}, got {j!r}")
+        raise IndexError(f"factor index must lie in 1..{_int_repr(source_blocks)}, got {_int_repr(j)}")
     return projection_map(source_blocks, tuple(i for i in range(1, source_blocks + 1) if i != j))
 
 
@@ -167,7 +167,7 @@ def ext_class(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> ExtClass:
     limit = 1 << _generator_count(ambient)
     for mask in t:
         if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < limit:
-            raise ValueError(f"monomial {mask!r} is outside the generator set")
+            raise ValueError(f"monomial {_int_repr(mask)} is outside the generator set")
     return ExtClass(ambient, t)
 
 
@@ -182,9 +182,9 @@ def unit(ambient: Ambient) -> ExtClass:
 def gen_position(ambient: Ambient, block: int, index: int) -> int:
     block, index = _as_ints((block, index))
     if not 1 <= block <= ambient.m:
-        raise ValueError(f"block must lie in 1..{ambient.m}, got {block!r}")
+        raise ValueError(f"block must lie in 1..{_int_repr(ambient.m)}, got {_int_repr(block)}")
     if not 1 <= index <= 2 * ambient.g:
-        raise ValueError(f"index must lie in 1..{2 * ambient.g}, got {index!r}")
+        raise ValueError(f"index must lie in 1..{_int_repr(2 * ambient.g)}, got {_int_repr(index)}")
     return (block - 1) * 2 * ambient.g + (index - 1)
 
 

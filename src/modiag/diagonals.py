@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -106,7 +107,7 @@ class _Record:
         return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        fields = ", ".join(f"{name}={_int_repr(value)}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -116,8 +117,19 @@ class Ambient(_Record):
     def __init__(self, g: int, m: int) -> None:
         for name, value in (("g", g), ("m", m)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"{name} must be an integer >= 1, got {_int_repr(value)}")
         self.__dict__.update(g=g, m=m)
+
+
+def _int_repr(value) -> str:
+    """``repr(value)``, with an int past Python's int-to-text digit limit,
+    which ``repr`` refuses, written through ``Decimal``, which converts any
+    int exactly: the library's one rule for writing a long integer, in
+    certificates, statements and messages."""
+    try:
+        return repr(value)
+    except ValueError:  # past the int-to-text digit limit; what is not an int raises again
+        return str(Decimal(value)) if isinstance(value, int) else repr(value)
 
 
 def _as_ints(values) -> tuple[int, ...]:
@@ -185,9 +197,9 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     d = math.gcd(*entries)
     if not d:
         return 1, None
-    if next(x for x in entries if x) < 0:
+    if entries < (0,) * len(entries):  # the first nonzero entry is negative
         d = -d
-    return d ** (2 * ambient.g), tuple(x // d for x in entries)
+    return d ** (2 * ambient.g), tuple([x // d for x in entries])
 
 
 def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
@@ -239,7 +251,7 @@ def _require_factor(ambient: Ambient, j) -> int:
     IndexError)."""
     index = _as_int(j)
     if not 1 <= index <= ambient.m:
-        raise IndexError(f"factor index must lie in 1..{ambient.m}, got {j!r}")
+        raise IndexError(f"factor index must lie in 1..{_int_repr(ambient.m)}, got {_int_repr(j)}")
     return index
 
 
@@ -294,8 +306,9 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
 
 def _orbit_signs(m: int) -> tuple[int, ...]:
     """The coefficients a_1..a_m of Gamma(m) = sum over k of a_k O_k on m
-    factors: a_k = (-1)^(m-k) (module docstring)."""
-    return tuple(-1 if (m - k) & 1 else 1 for k in range(1, m + 1))
+    factors: a_k = (-1)^(m-k) (module docstring), the last m entries of
+    (-1, 1) repeated, since a_m = 1."""
+    return ((-1, 1) * m)[m:]
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

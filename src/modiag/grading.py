@@ -59,14 +59,14 @@ identical for identical inputs.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
+from operator import add
 from typing import Iterable, Iterator
 
 from .cohomology import _live_images
-from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, _Record, normalize_twist
+from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _orbit_signs, _Record, normalize_twist
 
 MultiDegree = tuple[int, ...]
 
@@ -107,7 +107,7 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     w = _as_int(w)
     if not 0 <= w <= 2 * g * m:
-        raise ValueError(f"eigen-exponent must lie in 0..{2 * g * m}, got {w}")
+        raise ValueError(f"eigen-exponent must lie in 0..{_int_repr(2 * g * m)}, got {_int_repr(w)}")
     return 2 * g * m - w
 
 
@@ -303,32 +303,48 @@ def _to_json(value, newline: str) -> str:
     with ``newline`` the line break plus the current indentation.  Only what
     that form writes the same way is accepted: a float, a non-string key or
     an object without ``__dict__`` raises TypeError.  An int past Python's
-    int-to-text digit limit, which ``int.__repr__`` refuses, is written
-    through ``Decimal``, which converts any int exactly."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
+    int-to-text digit limit, which ``int.__repr__`` refuses, is written by
+    ``_int_repr``.
+
+    A container writes each item whose type is exactly ``str``, ``int`` or
+    ``bool`` in its own loop, and recurses for the rest: containers,
+    records, None, subclasses of ``int`` and ``str``, and what is refused.
+    So ``value`` is never a bool.  Each container's text is one join of its
+    pieces, brackets and separators included."""
+    if isinstance(value, dict):
+        keyed, pairs = True, value.items()  # _quote raises TypeError on a non-string key
+    elif isinstance(value, (list, tuple)):
+        keyed, pairs = False, enumerate(value)
+    elif value is None:
         return "null"
-    if isinstance(value, int):
-        try:
-            return int.__repr__(value)
-        except ValueError:  # past the int-to-text digit limit
-            return str(Decimal(value))
-    if isinstance(value, str):
+    elif isinstance(value, str):
         return _quote(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in value]) + newline + "]"
-    if not isinstance(value, dict):
+    elif isinstance(value, int):
+        return _int_repr(int(value))  # a subclass, written as int.__repr__ writes it
+    else:
         return _to_json(vars(value), newline)  # a Certificate or a Step
     if not value:
-        return "{}"
-    items = [_quote(k) + ": " + _to_json(v, inner) for k, v in value.items()]
-    return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "{}" if keyed else "[]"
+    inner = newline + "  "
+    opener = "{" if keyed else "["
+    out = []
+    for key, v in pairs:
+        out += (opener, inner, _quote(key), ": ") if keyed else (opener, inner)
+        opener = ","
+        kind = type(v)
+        if kind is str:
+            out.append(_quote(v))
+        elif kind is int:
+            try:
+                out.append(int.__repr__(v))
+            except ValueError:  # past the int-to-text digit limit
+                out.append(_int_repr(v))
+        elif kind is bool:
+            out.append("true" if v else "false")
+        else:
+            out.append(_to_json(v, inner))
+    out += (newline, "}" if keyed else "]")
+    return "".join(out)
 
 
 def certificate_to_text(cert: Certificate) -> str:
@@ -340,15 +356,15 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
-    # the run shapes of the indicator vectors 1_I (``diagonals`` docstring)
-    shapes = ((1, 0), (1,)) if m >= 2 else ((1,),)
+    # the run shapes of the indicator vectors 1_I (``diagonals`` docstring),
+    # each with its ambient, built once for the whole sample
+    shapes = [(run, Ambient(g, len(run))) for run in (((1, 0), (1,)) if m >= 2 else ((1,),))]
     checks = []
     for n in mult_sample:
         factor = n ** (2 * g)
-        verified = all(
-            normalize_twist([n * x for x in shape], Ambient(g, len(shape))) == (factor, shape)
-            for shape in shapes
-        )
+        verified = True
+        for shape, ambient in shapes:
+            verified = verified and normalize_twist([n * x for x in shape], ambient) == (factor, shape)
         checks.append({"n": n, "factor": factor, "verified": verified})
     mult_step = Step(
         id="mult-eigenvalue",
@@ -361,10 +377,11 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         status=PASS if all(c["verified"] for c in checks) else FAIL,
         witness={"checks": checks},
     )
+    # a contraction folds Gamma(m) = sum_k a_k O_k into sum_k (a_k + a_(k+1)) O_k,
+    # k = 1..m-1, which is no sum at all at m = 1
+    signs = _orbit_signs(m)
+    vanishes = not any(map(add, signs, signs[1:]))
     if m >= 2:
-        # a contraction folds Gamma(m) = sum_k a_k O_k into sum_k (a_k + a_(k+1)) O_k
-        signs = _orbit_signs(m)
-        vanishes = not any(a + b for a, b in zip(signs, signs[1:]))
         contractions = [{"j": j, "vanishes": vanishes} for j in range(1, m + 1)]
         statement = f"contracting any one of the {m} factors kills the modified diagonal"
     else:
@@ -375,7 +392,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         kind=FORMAL_IDENTITY,
         statement=statement,
         reference="terms pair off under I <-> I plus the contracted factor; the leftover singleton collapses to a point",
-        status=PASS if all(c["vanishes"] for c in contractions) else FAIL,
+        status=PASS if vanishes else FAIL,
         witness={"checks": contractions},
     )
     return [mult_step, contraction_step]
@@ -516,7 +533,7 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     if dim >= max_dim:
         statement = (
             f"the exterior-algebra realization would walk a graded piece of"
-            f" dimension {Decimal(dim)}, beyond the configured bound"
+            f" dimension {_int_repr(dim)}, beyond the configured bound"
         )
         status = SKIPPED
         witness["max_dim"] = max_dim

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -9,13 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import modiag.diagonals
-from helpers import expand_orbits, random_cycle
+from helpers import digit_limit, expand_orbits, random_cycle
 from modiag import (
     Ambient,
     cycle,
     cycle_add,
     cycle_equal,
     cycle_scale,
+    drop_factor_map,
+    generator,
     modified_diagonal,
     mult_pushforward_all,
     mult_pushforward_factor,
@@ -23,6 +26,7 @@ from modiag import (
     proj_pushforward,
     render_cycle,
     twist_cycle,
+    weight_from_eigenvalue,
     zero_cycle,
 )
 from modiag import grading, replay_proof
@@ -434,8 +438,66 @@ def test_formal_layer_normalizes_each_run_shape_once_per_n(monkeypatch, m):
     assert sorted(calls) == sorted(shapes)
 
 
+@pytest.mark.parametrize(
+    "g,m,sample",
+    [(1, 1, (-3, -2, 2, 3)), (2, 1, (5,)), (1, 2, (-3, -2, 2, 3)), (3, 7, (7,)),
+     (2, 1000, (-5, -1, 1, 4, 9)), (1, 100_000, (-3, -2, 2, 3))],
+    ids=["g1-m1", "g2-m1-one-n", "g1-m2", "g3-m7-one-n", "g2-m1000", "g1-m100000"],
+)
+def test_formal_layer_work_does_not_grow_with_m(monkeypatch, g, m, sample):
+    # The multiplication check normalizes 2 run shapes per sampled n, (n, 0)
+    # and (n,), and (n,) alone at m = 1, each in an ambient built once for
+    # the whole certificate; none of it grows with m.
+    calls, ambients = [], []
+    real = grading.normalize_twist
+
+    def counted(raw, amb):
+        calls.append(tuple(raw))
+        ambients.append(amb)
+        return real(raw, amb)
+
+    monkeypatch.setattr(grading, "normalize_twist", counted)
+    assert replay_proof(g, m, layers=("formal",), mult_sample=sample).result == "PASS"
+    shapes = 1 if m == 1 else 2
+    assert len(calls) == shapes * len(sample)
+    assert len({id(amb) for amb in ambients}) == shapes
+    assert {(amb.g, amb.m) for amb in ambients} == {(g, k) for k in range(1, shapes + 1)}
+
+
 @pytest.mark.parametrize("m", [20, 200, 5000])
 def test_formal_layer_passes_at_large_m(m):
     cert = replay_proof(1, m, layers=("formal",))
     assert cert.result == "PASS"
     assert len(cert.steps[1].witness["checks"]) == m
+
+
+# 10**5000 has 5,001 digits, past the interpreter's default int-to-text limit
+# of 4,300, where repr and f-strings raise ValueError.
+_PAST_LIMIT = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call,error,message,quoted",
+    [
+        (lambda: mult_pushforward_factor(modified_diagonal(Ambient(1, 2)), _PAST_LIMIT, 2),
+         IndexError, "factor index must lie in 1..2, got", _PAST_LIMIT),
+        (lambda: proj_pushforward(modified_diagonal(Ambient(1, 2)), -_PAST_LIMIT),
+         IndexError, "factor index must lie in 1..2, got", -_PAST_LIMIT),
+        (lambda: drop_factor_map(3, _PAST_LIMIT), IndexError, "factor index must lie in 1..3, got", _PAST_LIMIT),
+        (lambda: generator(Ambient(1, 2), _PAST_LIMIT, 1), ValueError, "block must lie in 1..2, got", _PAST_LIMIT),
+        (lambda: Ambient(-_PAST_LIMIT, 1), ValueError, "g must be an integer >= 1, got", -_PAST_LIMIT),
+        (lambda: weight_from_eigenvalue(1, 2, _PAST_LIMIT), ValueError, "eigen-exponent must lie in 0..4, got",
+         _PAST_LIMIT),
+    ],
+    ids=["mult-factor", "proj", "drop-factor-map", "generator", "ambient", "eigen-exponent"],
+)
+def test_messages_quote_an_integer_past_the_digit_limit(call, error, message, quoted):
+    limit = digit_limit()
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == f"{message} {Decimal(quoted)}"
+    assert digit_limit() == limit
+
+
+def test_record_repr_past_the_digit_limit():
+    assert repr(Ambient(_PAST_LIMIT, 1)) == f"Ambient(g={Decimal(_PAST_LIMIT)}, m=1)"

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ from modiag.grading import (
     Step,
     _kunneth_survivors,
 )
+from modiag.diagonals import _Record
 
 
 def test_weight_examples():
@@ -320,23 +322,46 @@ def _with_witness(witness) -> Certificate:
     return Certificate("1", 1, 1, (step,), PASS)
 
 
+class _Colour(enum.IntEnum):
+    RED = 1
+    HUGE = -(2**70)
+
+
+class _Text(str):
+    pass
+
+
+class _Box(_Record):
+    """A record nested in a witness; the writer reads its fields through
+    ``vars``, as it reads a Step's."""
+
+    def __init__(self, fields: dict) -> None:
+        self.__dict__.update(fields)
+
+
 # The values a witness holds: exact integers, bools, None and strings, in
-# nested lists, tuples and string-keyed dicts.  The strings favour what the
-# encoder must escape.
+# nested lists, tuples, string-keyed dicts and records, and the subclasses of
+# int and str that the writer must write as json.dumps does, not by their
+# exact type.  The strings favour what the encoder must escape.
 _TRICKY_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600'))
+_KEYS = st.text() | _TRICKY_TEXT | _TRICKY_TEXT.map(_Text)
 _WITNESS_LEAVES = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(max_value=-(2**70))
+    | st.sampled_from(_Colour)
     | st.text()
     | _TRICKY_TEXT
+    | _TRICKY_TEXT.map(_Text)
 )
 _WITNESS_VALUES = st.recursive(
     _WITNESS_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
+    | st.lists(st.booleans(), min_size=1, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4).map(_Box),
     max_leaves=24,
 )
 
@@ -347,16 +372,44 @@ def test_witness_json_matches_the_standard_encoder(witness):
     assert certificate_to_json(cert) == json_oracle(cert)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [0.5, Fraction(1, 2), {1: "int key"}, {None: "null key"}, object()],
-    ids=["float", "fraction", "int-key", "none-key", "no-dict"],
-)
+_REFUSED = [0.5, Fraction(1, 2), {1: "int key"}, {None: "null key"}, object()]
+_REFUSED_IDS = ["float", "fraction", "int-key", "none-key", "no-dict"]
+
+
+@pytest.mark.parametrize("value", _REFUSED, ids=_REFUSED_IDS)
 def test_certificate_json_refuses_what_the_encoder_writes_otherwise(value):
     # json.dumps would write a float, and turn a non-string key into a
     # string; certificates hold neither, and the writer refuses both.
     with pytest.raises(TypeError):
         certificate_to_json(_with_witness({"value": value}))
+
+
+@pytest.mark.parametrize("value", _REFUSED, ids=_REFUSED_IDS)
+@pytest.mark.parametrize(
+    "place", [lambda v: [1, "a", True, v], lambda v: [None, {"a": 1, "b": v}]], ids=["in-list", "in-dict-in-list"]
+)
+def test_certificate_json_refuses_nested_values(place, value):
+    # A container writes exact str, int and bool items itself; anything else,
+    # however deep, still reaches the checks that refuse it.
+    with pytest.raises(TypeError):
+        certificate_to_json(_with_witness({"value": place(value)}))
+
+
+def test_certificate_json_writes_nested_ints_past_the_digit_limit():
+    # The oracle cannot write these ints at the default limit, so it writes
+    # small stand-ins that the expected text then replaces by the Decimal text.
+    def witness(a, b, c):
+        return {"items": [a, [b, True]], "values": {"a": c, "b": [{"c": a}]}}
+
+    big = (10**5000, -(10**4400), 7**6000)
+    stand_ins = (111111111, 222222222, 333333333)
+    limit = digit_limit()
+    text = certificate_to_json(_with_witness(witness(*big)))
+    expected = json_oracle(_with_witness(witness(*stand_ins)))
+    for stand_in, value in zip(stand_ins, big):
+        expected = expected.replace(str(stand_in), str(Decimal(value)))
+    assert text == expected
+    assert digit_limit() == limit
 
 
 def test_certificate_text_format():
