@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.power < 1:
-        parser.error(f"--power must be >= 1, got {args.power}")
     layers = [name for name in map(str.strip, args.layers.split(",")) if name]
     if not layers or any(name not in LAYERS for name in layers):
         parser.error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
@@ -126,9 +124,7 @@ def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
     return f"{m:>3}  {formal:<7}{Decimal(survivors):>10}  {cohomology:<11}{prediction}", _accepted(cert)
 
 
-def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
-    if args.power_max < 1:
-        parser.error(f"--power-max must be >= 1, got {args.power_max}")
+def cmd_survey(args) -> int:
     g = args.genus
     rows = [_survey_row(g, m, args.max_dim) for m in range(1, args.power_max + 1)]
     lines = [
@@ -144,11 +140,12 @@ def cmd_survey(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.genus < 1:
-        parser.error(f"--genus must be >= 1, got {args.genus}")
+    for flag in ("genus", "power", "power_max"):  # survey has no --power, verify no --power-max
+        if (value := getattr(args, flag, 1)) < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     if args.command == "verify":
         return cmd_verify(args, parser)
-    return cmd_survey(args, parser)
+    return cmd_survey(args)
 
 
 if __name__ == "__main__":

@@ -88,8 +88,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _int_repr, _Record
-from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _Record, _require_in, twist_cycle
+from .exact import _add_term, _int_repr, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
 class LinearMap(_Record):
@@ -128,8 +128,8 @@ def projection_map(source_blocks: int, retained) -> LinearMap:
     retained = _as_ints(retained)
     if not retained:
         raise ValueError("a projection must retain at least one factor")
-    if any(not 1 <= j <= source_blocks for j in retained):
-        raise ValueError(f"retained factors must lie in 1..{_int_repr(source_blocks)}")
+    for j in retained:
+        _require_in("retained factor", j, 1, source_blocks)
     if any(a >= b for a, b in zip(retained, retained[1:])):
         raise ValueError("retained factors must be strictly increasing")
     return LinearMap("projection", source_blocks, len(retained), retained)
@@ -140,8 +140,7 @@ def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
     source_blocks, j = _as_ints((source_blocks, j))
     if source_blocks < 2:
         raise ValueError("cannot drop the only factor")
-    if not 1 <= j <= source_blocks:
-        raise IndexError(f"factor index must lie in 1..{_int_repr(source_blocks)}, got {_int_repr(j)}")
+    _require_in("factor index", j, 1, source_blocks, IndexError)
     return projection_map(source_blocks, tuple(i for i in range(1, source_blocks + 1) if i != j))
 
 
@@ -180,11 +179,9 @@ def unit(ambient: Ambient) -> ExtClass:
 
 
 def gen_position(ambient: Ambient, block: int, index: int) -> int:
-    block, index = _as_ints((block, index))
-    if not 1 <= block <= ambient.m:
-        raise ValueError(f"block must lie in 1..{_int_repr(ambient.m)}, got {_int_repr(block)}")
-    if not 1 <= index <= 2 * ambient.g:
-        raise ValueError(f"index must lie in 1..{_int_repr(2 * ambient.g)}, got {_int_repr(index)}")
+    block, index = _as_ints((block, index))  # a bad type is refused before a bad range
+    _require_in("block", block, 1, ambient.m)
+    _require_in("index", index, 1, 2 * ambient.g)
     return (block - 1) * 2 * ambient.g + (index - 1)
 
 
@@ -336,10 +333,7 @@ def class_of_twist(v, ambient: Ambient) -> ExtClass:
     diagonal map of v.  Homogeneous of degree 2g(m-1); raw unnormalized
     vectors are fine and pick up the d^(2g) factor on their own."""
     f = diagonal_map(v)
-    if f.target_blocks != ambient.m:
-        raise ValueError(f"expected a vector of length {ambient.m}, got {f.target_blocks}")
-    if not any(f.data):
-        raise ValueError("the zero vector does not name a twisted diagonal")
+    twist_cycle(ambient, f.data)  # refuses a vector of the wrong length and the zero vector
     return pushforward(f, unit(Ambient(ambient.g, 1)))
 
 

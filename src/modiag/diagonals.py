@@ -71,11 +71,10 @@ from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact import _add_term, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
+from .exact import _add_term, _int_repr, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
 
 TwistVector = tuple[int, ...]
 
@@ -121,17 +120,6 @@ class Ambient(_Record):
         self.__dict__.update(g=g, m=m)
 
 
-def _int_repr(value) -> str:
-    """``repr(value)``, with an int past Python's int-to-text digit limit,
-    which ``repr`` refuses, written through ``Decimal``, which converts any
-    int exactly: the library's one rule for writing a long integer, in
-    certificates, statements and messages."""
-    try:
-        return repr(value)
-    except ValueError:  # past the int-to-text digit limit; what is not an int raises again
-        return str(Decimal(value)) if isinstance(value, int) else repr(value)
-
-
 def _as_ints(values) -> tuple[int, ...]:
     """The package's one integer rule: ``operator.index``, and no ``bool``.
 
@@ -147,6 +135,15 @@ def _as_ints(values) -> tuple[int, ...]:
 
 def _as_int(value) -> int:
     return _as_ints((value,))[0]
+
+
+def _require_in(what: str, value, lo: int, hi: int, error=ValueError) -> int:
+    """value as an int (``_as_int``, else TypeError) in lo..hi, else
+    ``error``: the package's one range refusal of a caller's input."""
+    value = _as_int(value)
+    if not lo <= value <= hi:
+        raise error(f"{what} must lie in {_int_repr(lo)}..{_int_repr(hi)}, got {_int_repr(value)}")
+    return value
 
 
 def _common_ambient(a, b) -> Ambient:
@@ -246,15 +243,6 @@ def modified_diagonal(ambient: Ambient) -> FormalCycle:
     return FormalCycle(ambient, terms)
 
 
-def _require_factor(ambient: Ambient, j) -> int:
-    """j as an int: an integer (``_as_int``, else TypeError) in 1..m (else
-    IndexError)."""
-    index = _as_int(j)
-    if not 1 <= index <= ambient.m:
-        raise IndexError(f"factor index must lie in 1..{_int_repr(ambient.m)}, got {_int_repr(j)}")
-    return index
-
-
 def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     """Pushforward along multiplication by n on factor j (n = 0 allowed).
 
@@ -263,7 +251,7 @@ def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     was supported on factor j alone) collapses onto a point and is dropped.
     n must be an integer; a bool, float, string or Fraction raises TypeError.
     """
-    j = _require_factor(c.ambient, j)
+    j = _require_in("factor index", j, 1, c.ambient.m, IndexError)
     n = _as_int(n)
     amb = c.ambient
     return FormalCycle(
@@ -297,7 +285,7 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
     amb = c.ambient
     if amb.m < 2:
         raise ValueError("cannot contract the only factor")
-    j = _require_factor(amb, j)
+    j = _require_in("factor index", j, 1, amb.m, IndexError)
     target = Ambient(amb.g, amb.m - 1)
     return FormalCycle(
         target, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + v[j:], target))

@@ -66,7 +66,8 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .cohomology import _live_images
-from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _orbit_signs, _Record, normalize_twist
+from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, _Record, _require_in, normalize_twist
+from .exact import _int_repr
 
 MultiDegree = tuple[int, ...]
 
@@ -105,10 +106,7 @@ SCHEMA_VERSION = "1"
 def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     """Total weight of a class whose mult(n) pushforward scales by n^w."""
     Ambient(g, m)  # rejects non-integers, bools and values below 1
-    w = _as_int(w)
-    if not 0 <= w <= 2 * g * m:
-        raise ValueError(f"eigen-exponent must lie in 0..{_int_repr(2 * g * m)}, got {_int_repr(w)}")
-    return 2 * g * m - w
+    return 2 * g * m - _require_in("eigen-exponent", w, 0, 2 * g * m)
 
 
 def graded_dimension(g: int, m: int) -> int:

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and seeded random generators.
+"""Shared test utilities: independent oracles, seeded random generators and
+the environment of a child interpreter.
 
 The oracles here deliberately avoid the code paths they check.  Admissible
 multidegrees are re-derived by filtering a full cartesian product, and
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from modiag import (
     Ambient,
@@ -42,6 +45,15 @@ def digit_limit():
     """The interpreter's int-to-text digit limit; Python 3.10 before 3.10.7
     has none."""
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def child_env() -> dict:
+    """This process's environment with src/ in front of PYTHONPATH, for a
+    child interpreter, which does not inherit pytest's sys.path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def json_oracle(cert) -> str:

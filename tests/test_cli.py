@@ -1,7 +1,6 @@
 import ast
 import itertools
 import json
-import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import digit_limit
+from helpers import child_env, digit_limit
 from modiag import certificate_to_json, cli, grading, replay_proof
 from modiag.cli import main
 
@@ -66,12 +65,20 @@ def test_verify_rejects_genus_zero(capsys):
     [
         (("verify", "--genus", "1", "--power", "0"), "--power"),
         (("survey", "--genus", "1", "--power-max", "0"), "--power-max"),
+        (("verify", "--genus", "-1", "--power", "2"), "--genus"),
+        (("verify", "--genus", "1", "--power", "-1"), "--power"),
+        (("survey", "--genus", "-1", "--power-max", "2"), "--genus"),
+        (("survey", "--genus", "1", "--power-max", "-1"), "--power-max"),
+        # --genus is checked first, and alone
+        (("verify", "--genus", "0", "--power", "0"), "--genus"),
+        (("survey", "--genus", "0", "--power-max", "0"), "--genus"),
     ],
 )
 def test_power_below_one_is_a_usage_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert f"{flag} must be >= 1, got 0" in err
+    value = argv[argv.index(flag) + 1]
+    assert err.splitlines()[-1] == f"modiag: error: {flag} must be >= 1, got {value}"
 
 
 def test_verify_rejects_bad_layers(capsys):
@@ -263,15 +270,11 @@ def test_survey_g2_survivor_counts(capsys):
 
 
 def test_module_entry_point_runs():
-    # The child does not inherit pytest's sys.path, so give it src/ itself.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "modiag", "verify", "--genus", "1", "--power", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "PASS"

@@ -314,6 +314,9 @@ NON_INTEGERS = [2.5, 2.0, "3", True]
         lambda bad: gen_position(E2, 1, bad),
         lambda bad: generator(E2, 1, bad),
         lambda bad: monomial_mask(E2, [(bad, 2)]),
+        # a bad type is refused before a bad range
+        lambda bad: gen_position(E2, 3, bad),
+        lambda bad: drop_factor_map(1, bad),
     ],
 )
 def test_map_data_and_profiles_must_be_integers(build, bad):

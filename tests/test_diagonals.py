@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -13,19 +14,26 @@ import modiag.diagonals
 from helpers import digit_limit, expand_orbits, random_cycle
 from modiag import (
     Ambient,
+    class_of_twist,
     cycle,
     cycle_add,
     cycle_equal,
     cycle_scale,
+    diagonal_map,
     drop_factor_map,
+    ext_scale,
+    gen_position,
     generator,
     modified_diagonal,
     mult_pushforward_all,
     mult_pushforward_factor,
     normalize_twist,
+    projection_map,
     proj_pushforward,
+    render_class,
     render_cycle,
     twist_cycle,
+    unit,
     weight_from_eigenvalue,
     zero_cycle,
 )
@@ -499,5 +507,58 @@ def test_messages_quote_an_integer_past_the_digit_limit(call, error, message, qu
     assert digit_limit() == limit
 
 
+_E2 = Ambient(1, 2)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: mult_pushforward_factor(modified_diagonal(_E2), 3, 2), IndexError,
+         "factor index must lie in 1..2, got 3"),
+        (lambda: proj_pushforward(modified_diagonal(_E2), 0), IndexError, "factor index must lie in 1..2, got 0"),
+        (lambda: drop_factor_map(3, 4), IndexError, "factor index must lie in 1..3, got 4"),
+        (lambda: gen_position(_E2, 3, 1), ValueError, "block must lie in 1..2, got 3"),
+        (lambda: gen_position(_E2, 1, 3), ValueError, "index must lie in 1..2, got 3"),
+        (lambda: weight_from_eigenvalue(1, 2, 5), ValueError, "eigen-exponent must lie in 0..4, got 5"),
+        (lambda: class_of_twist((1, 1), Ambient(1, 3)), ValueError, "expected a vector of length 3, got 2"),
+        (lambda: class_of_twist((0, 0), _E2), ValueError, "the zero vector does not name a twisted diagonal"),
+        (lambda: projection_map(3, (1, 4)), ValueError, "retained factor must lie in 1..3, got 4"),
+    ],
+    ids=["mult-factor", "proj", "drop-factor-map", "block", "index", "eigen-exponent", "twist-length",
+         "twist-zero", "retained-factor"],
+)
+def test_messages_name_an_out_of_range_value(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def _with_the_limit_lifted(call):
+    """``call()`` with the int-to-text digit limit lifted, then restored."""
+    limit = digit_limit()
+    if limit is None:
+        return call()
+    sys.set_int_max_str_digits(0)
+    try:
+        return call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_record_repr_past_the_digit_limit():
     assert repr(Ambient(_PAST_LIMIT, 1)) == f"Ambient(g={Decimal(_PAST_LIMIT)}, m=1)"
+    # At the default limit, each text reads as Python writes it with the
+    # limit lifted: nested fields, dicts, Fractions and both renders.
+    limit = digit_limit()
+    texts = [
+        lambda: render_cycle(twist_cycle(_E2, (1, 1), _PAST_LIMIT)),
+        lambda: render_cycle(twist_cycle(_E2, (1, 1), Fraction(-_PAST_LIMIT, _PAST_LIMIT + 1))),
+        lambda: render_class(ext_scale(unit(Ambient(1, 1)), _PAST_LIMIT)),
+        lambda: repr(twist_cycle(_E2, (1, 1), _PAST_LIMIT)),
+        lambda: repr(diagonal_map((_PAST_LIMIT,))),
+        lambda: repr(replay_proof(2600, 3, layers=("cohomology",))),
+        lambda: repr(replay_proof(5000, 1, layers=("formal",))),
+    ]
+    for text in texts:
+        assert text() == _with_the_limit_lifted(text)
+        assert digit_limit() == limit

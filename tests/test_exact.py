@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modiag.exact import combo, combo_add, combo_scale, combo_sorted_items
+from modiag.exact import _int_repr, combo, combo_add, combo_scale, combo_sorted_items, render_terms
 
 keys = st.integers(-5, 5)
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -72,3 +74,29 @@ def test_canonical_form_is_idempotent(a):
 @given(combos, combos)
 def test_add_never_stores_zero(a, b):
     assert all(coeff != 0 for coeff in combo_add(a, b).values())
+
+
+@given(st.one_of(st.integers(-10**6, 10**6).filter(bool), coefficients.filter(bool)))
+def test_render_terms_writes_a_magnitude_as_str_does(c):
+    sign = "-" if c < 0 else ""
+    assert render_terms([(c, "x")]) == f"{sign}{abs(c)} * x"
+    assert render_terms([(1, "y"), (c, "")]) == f"1 * y {'-' if c < 0 else '+'} {abs(c)}"
+
+
+# 10**5000 has 5,001 digits, past the interpreter's default int-to-text limit.
+_PAST_LIMIT = 10**5000
+
+
+def test_int_repr_writes_nested_values_past_the_digit_limit():
+    digits = str(Decimal(_PAST_LIMIT))
+    value = [(_PAST_LIMIT,), {"k": [Fraction(-_PAST_LIMIT, 3), 1]}, (), (2, -_PAST_LIMIT), {}, "s"]
+    assert _int_repr(value) == f"[({digits},), {{'k': [Fraction(-{digits}, 3), 1]}}, (), (2, -{digits}), {{}}, 's']"
+
+
+def test_int_repr_raises_again_where_it_cannot_look_inside():
+    class Opaque:
+        def __repr__(self):
+            return f"Opaque({_PAST_LIMIT})"
+
+    with pytest.raises(ValueError):
+        _int_repr([Opaque()])

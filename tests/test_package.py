@@ -1,13 +1,14 @@
 """The package surface: the public names and the modules ``import modiag``
 loads."""
 
-import os
+import ast
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
 import modiag
+from helpers import child_env
 
 # The acceptance suite and callers import these from ``modiag``; the list
 # is derived from the package's imports, so it is pinned here.
@@ -35,12 +36,8 @@ def test_public_names_are_pinned_and_sorted():
 
 
 def _run_child(*args: str) -> subprocess.CompletedProcess:
-    """A child interpreter with ``args``.  It does not inherit pytest's
-    sys.path, so it is given src/ itself."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    """A child interpreter with ``args``, given src/ itself."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env())
 
 
 def test_import_loads_every_layer():
@@ -57,3 +54,27 @@ def test_command_line_start_up_loads_neither_dataclasses_nor_inspect():
         "-S", "-c", "import sys, modiag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _fstrings(path: Path):
+    """Each f-string of a module as (innermost enclosing function, its
+    literal text)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    for fn in ast.walk(tree):  # breadth-first, so an inner function overwrites its outer one
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((node, fn.name) for node in ast.walk(fn) if isinstance(node, ast.JoinedStr))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield owner.get(node), "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+
+
+def test_each_input_refusal_is_written_once():
+    """A range refusal is written by ``diagonals._require_in`` alone, and
+    the command line checks its positive flags in one message."""
+    src = Path(modiag.__file__).parent
+    ranges = [
+        (path.name, fn) for path in sorted(src.glob("*.py")) for fn, text in _fstrings(path) if "must lie in" in text
+    ]
+    assert ranges == [("diagonals.py", "_require_in")]
+    assert [fn for fn, text in _fstrings(src / "cli.py") if "must be >= 1" in text] == ["main"]

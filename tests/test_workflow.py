@@ -10,13 +10,14 @@ with ``modiag`` replaced by this interpreter's ``-m modiag`` and ``src/`` on
 ``tests/``, so what a script writes stays out of the checkout.
 """
 
-import os
 import re
 import shlex
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -53,8 +54,7 @@ def test_every_modiag_line_of_the_workflow_runs(tmp_path):
     scripts = [s for s in run_scripts(WORKFLOW.read_text()) if MODIAG.search(s)]
     assert scripts, "the workflow calls modiag nowhere"
     (tmp_path / "tests").symlink_to(ROOT / "tests", target_is_directory=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env = child_env()
     command = shlex.quote(sys.executable) + " -m modiag"
     for i, script in enumerate(scripts):
         # An expression is filled in by the runner; here it cannot be.
