@@ -35,9 +35,11 @@ factors, and blockwise multiplication by integers.
 
 The modified diagonal has a closed form, ``modified_diagonal_class``.  The
 pushforward (``class_of_twist`` and ``class_of_cycle``) is kept as its
-test oracle.  Neither is on the certificate path: the certificate reads the
-support from the closed form below, walking the same images with c(S) != 0
-(``_live_images``), and builds no term (``grading._shadow_support``).
+test oracle.  Neither is on the certificate path, and ``grading`` imports
+nothing from this module: the certificate reads the support from the
+closed form below, walking the same images with c(S) != 0
+(``diagonals._live_images``), and builds no term
+(``grading._shadow_support``).
 
 Along the diagonal of v the only monomials of degree 2g with a nonzero
 pullback are the transversals: one generator e[kappa(k),k] from each
@@ -69,13 +71,11 @@ the adjunction needs its pullback, prod_k v_kappa(k); the two exponents sum
 to g(m-1)(m-2)/2 modulo 2.
 
 Gamma(m) sums D(v) over the indicator vectors of nonempty I in {1..m} with
-sign (-1)^(m-|I|), so the term of kappa picks up c(S) = sum over I ⊇ S of
-(-1)^(m-|I|), S the image of kappa.  Grouped by factor, it is the product
-over the m - |S| factors outside S of (+1 when the factor is in I) + (-1
-when it is not), so it is 1 for S = {1..m} and 0 otherwise.
-``_live_images`` computes that product, one power, once for every image
-size up to min(2g, m) rather than assuming it, and yields the images with
-c != 0; the closed form and the certificate's support both walk them.  Hence
+sign (-1)^(m-|I|), so the term of kappa picks up the superset sum c(S) of
+its image S, which is 1 for S = {1..m} and 0 otherwise (``diagonals``
+docstring, where it is derived).  ``diagonals._live_images`` yields the
+images with c != 0; the closed form and the certificate's support both
+walk them.  Hence
 [Gamma(m)] is the sum of pi_kappa * (T - b_kappa) over the maps kappa
 onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology (Beauville
 1986; Deninger-Murre 1991), and otherwise m! S(2g, m) terms of coefficient
@@ -86,9 +86,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _Record, _require_in, twist_cycle
+from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _live_images, _Record, _require_in, twist_cycle
 from .exact import _add_term, _int_repr, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
@@ -344,24 +344,6 @@ def class_of_cycle(c: FormalCycle) -> ExtClass:
         for mask, k in class_of_twist(v, c.ambient).terms.items():
             _add_term(out, mask, coeff * k)
     return ExtClass(c.ambient, out)
-
-
-def _live_images(g: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The images S of maps {1..2g} -> {1..m} with c(S) != 0, each as (c(S), S).
-
-    c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|).  Grouped by factor, it
-    is the product over the m - |S| factors outside S of (+1 when the factor
-    is in I) + (-1 when it is not).  The factors are all the same, so it is
-    computed once per image size, exactly, as one power and with no
-    binomial.  The sum is computed, not asserted: it is 1 for S = {1..m}
-    and cancels to 0 otherwise.  Images come in increasing size, each size in
-    lexicographic order.
-    """
-    for size in range(1, min(2 * g, m) + 1):
-        c = ((+1) + (-1)) ** (m - size)
-        if c:
-            for image in itertools.combinations(range(m), size):
-                yield c, image
 
 
 def modified_diagonal_class(ambient: Ambient) -> ExtClass:

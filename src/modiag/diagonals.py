@@ -56,6 +56,20 @@ certificate checks are read from the orbits, not from the 2^m - 1 terms:
                     alternate, a_k + a_(k+1) = 0 for every k, so every
                     contraction vanishes.
 
+The exterior-algebra realization (``cohomology`` docstring) reads the same
+signs summed over supersets.  There the term of a map kappa: {1..2g} ->
+{1..m} with image S appears in the class of D(1_I) exactly when I ⊇ S, so
+in [Gamma(m)] it picks up
+
+  c(S) = sum over I ⊇ S in {1..m} of (-1)^(m-|I|).
+
+Grouped by factor, c(S) is the product over the m - |S| factors outside S
+of (+1 when the factor is in I) + (-1 when it is not): one power,
+((+1) + (-1))^(m-|S|), the same for every S of one size.  It is 1 for
+S = {1..m} and 0 otherwise.  ``_live_images`` computes that power once for
+each image size up to min(2g, m), exactly and with no binomial, rather
+than assuming it, and yields the images with c != 0.
+
 The tuple calculus on 2^m vectors stays the oracle these rules are tested
 against.
 
@@ -69,10 +83,11 @@ exact exterior-algebra model.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exact import _add_term, _int_repr, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
 
@@ -297,6 +312,18 @@ def _orbit_signs(m: int) -> tuple[int, ...]:
     factors: a_k = (-1)^(m-k) (module docstring), the last m entries of
     (-1, 1) repeated, since a_m = 1."""
     return ((-1, 1) * m)[m:]
+
+
+def _live_images(g: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The images S of maps {1..2g} -> {1..m} with c(S) != 0, each as
+    (c(S), S) with S a tuple of 0-based factors; c(S) is one power per image
+    size (module docstring).  Images come in increasing size, each size in
+    lexicographic order."""
+    for size in range(1, min(2 * g, m) + 1):
+        c = ((+1) + (-1)) ** (m - size)
+        if c:
+            for image in itertools.combinations(range(m), size):
+                yield c, image
 
 
 def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:

@@ -41,11 +41,10 @@ certificate with one step per move:
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
-     an image S carry c(S), the power ((+1) + (-1))^(m-|S|) with one
-     factor per factor outside S, computed once for each image size, and
-     each image with c != 0 (``cohomology._live_images``) gives one
-     profile per composition of 2g into |S| positive parts: the same
-     bounded walk lists its entries on S, and 2g is placed off S.  Only
+     an image S carry the superset sum c(S) of the signs a_k (``diagonals``
+     docstring), and each image with c != 0 (``diagonals._live_images``)
+     gives one profile per composition of 2g into |S| positive parts: the
+     same bounded walk lists its entries on S, and 2g is placed off S.  Only
      S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
      otherwise supported on C(2g-1, m-1) profiles, a count checked against
      that binomial, and each profile against the definition of a survivor,
@@ -65,8 +64,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
-from .cohomology import _live_images
-from .diagonals import Ambient, _as_int, _as_ints, _orbit_signs, _Record, _require_in, normalize_twist
+from .diagonals import Ambient, _as_int, _as_ints, _live_images, _orbit_signs, _Record, _require_in, normalize_twist
 from .exact import _int_repr
 
 MultiDegree = tuple[int, ...]
@@ -94,7 +92,7 @@ SKIPPED = "SKIPPED"
 LAYERS = ("formal", "grading", "cohomology")
 DEFAULT_LAYERS = ("formal", "grading")
 DEFAULT_MULT_SAMPLE = (-3, -2, 2, 3)
-DEFAULT_MAX_DIM = 10**7
+DEFAULT_MAX_DIM = 10**14
 
 # Survivor lists are embedded in witnesses only up to this many entries;
 # beyond it the count is still exact and the omission is flagged.
@@ -109,31 +107,35 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
     return 2 * g * m - _require_in("eigen-exponent", w, 0, 2 * g * m)
 
 
-def graded_dimension(g: int, m: int) -> int:
-    """C(2gm, 2g), the measure by which ``max_dim`` bounds the cohomology
-    shadow.  It bounds the shadow's work soundly, if loosely: that work is
-    at most min(2g, m) integer powers, for c(S), plus one profile per
-    composition of 2g into m positive parts, C(2g-1, m-1) <= C(2gm, 2g) of
-    them."""
-    return comb(2 * g * m, 2 * g)
-
-
 def _count_bounded(slots: int, total: int, cap: int) -> int:
     """Number of tuples in {0..cap}^slots with the given sum, by
     inclusion-exclusion on entries exceeding cap.  The map i -> cap - i
     permutes {0..cap}^slots, so the sums total and slots*cap - total are
     counted alike, and the nearer one is used: at the certificate's weight
     2g(m-1) the reflected sums are 2g and 2g - m, a single term each.
-    Every caller passes cap = 2g or 2g - 1, so cap >= 1."""
+    Every caller passes cap = 2g or 2g - 1, so cap >= 1, and slots >= 1.
+
+    Term k is (-1)^k C(slots, k) C(rest + slots - 1, slots - 1), with
+    rest = total - k(cap + 1) >= 0.  Only term 0's C(total + slots - 1,
+    slots - 1) is computed outright; both binomials are carried from term
+    to term by exact multiply-then-divide steps, one for C(slots, k) and
+    cap + 1 for the other, one per unit of rest.  So the work is about
+    total big-int-by-small-int steps in place of two binomials of up to
+    slots digits per term."""
     total = min(total, slots * cap - total)
     if total < 0:
         return 0
-    out = 0
-    for k in range(slots + 1):
-        rest = total - k * (cap + 1)
-        if rest < 0:
-            break
-        out += (-1) ** k * comb(slots, k) * comb(rest + slots - 1, slots - 1)
+    k, rest, choose = 0, total, 1
+    stars = comb(rest + slots - 1, slots - 1)
+    out = stars
+    while rest > cap:  # the next term's rest is at least 0
+        k += 1
+        choose = choose * (slots - k + 1) // k
+        for _ in range(cap + 1):
+            # C(n - 1, slots - 1) = C(n, slots - 1) * rest / n, n = rest + slots - 1
+            stars = stars * rest // (rest + slots - 1)
+            rest -= 1
+        out += (-1) ** k * choose * stars
     return out
 
 
@@ -499,7 +501,7 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
     A map kappa onto an image S writes c(S) * pi_kappa on its own monomial,
     whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
     docstring).  So an image with c = 0 writes nothing, and each image with
-    c != 0, as ``cohomology._live_images`` yields it, carries one profile
+    c != 0, as ``_live_images`` yields it, carries one profile
     per composition of 2g into |S| positive parts, the fibre sizes.  Its
     entries on S are the tuples in {0..2g-1}^|S| of total 2g(|S|-1), which
     ``_iter_bounded`` lists, and 2g is placed off S.  The profile
@@ -516,7 +518,11 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
 def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     """The shadow step, and the one place that decides the shadow's bound.
 
-    Computed: c(S) for each image size, by ``cohomology._live_images``, and
+    The bound is on C(2gm, 2g), the graded dimension.  It bounds the
+    shadow's work soundly, if loosely: that work is at most min(2g, m)
+    integer powers, for c(S), plus one profile per composition of 2g into
+    m positive parts, C(2g-1, m-1) <= C(2gm, 2g) of them.
+    Computed: c(S) for each image size, by ``_live_images``, and
     the profiles on each live image, by ``_shadow_support`` from the
     bounded walk with 2g placed off the image.
     By construction: each map kappa writes its own monomial, so no component
@@ -526,7 +532,7 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     walk, and each of them is checked against the definition of a survivor,
     total 2g(m-1) and every entry in 0..2g-1, not against the grading
     layer's list."""
-    dim = graded_dimension(g, m)
+    dim = comb(2 * g * m, 2 * g)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
         statement = (

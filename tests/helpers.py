@@ -12,7 +12,9 @@ survivors are re-walked flat, one size-2g multiset of factor positions at
 a time.  Certificates are written by the standard library's
 ``json.dumps``, the form their direct writer replaced.  The shadow's image
 coefficient c(S) is summed by superset size, one binomial per size, the
-form its power of (+1) + (-1) replaced.
+form its power of (+1) + (-1) replaced.  Bounded compositions are counted
+by inclusion-exclusion with two fresh binomials per term and no
+reflection, the form that carrying them from term to term replaced.
 """
 
 from __future__ import annotations
@@ -64,11 +66,20 @@ def json_oracle(cert) -> str:
 
 
 def binomial_image_coefficient(m: int, size: int) -> int:
-    """The oracle for c(S) in ``cohomology._live_images``: the sum over
+    """The oracle for c(S) in ``diagonals._live_images``: the sum over
     I ⊇ S in {1..m} of (-1)^(m-|I|) for |S| = size, its supersets counted
     by size, C(m - size, t) of size size + t."""
     rest = m - size
     return sum((-1) ** (rest - t) * comb(rest, t) for t in range(rest + 1))
+
+
+def per_term_count_bounded(slots: int, total: int, cap: int) -> int:
+    """The oracle for ``grading._count_bounded``: the tuples in
+    {0..cap}^slots of the given sum, by inclusion-exclusion on the entries
+    exceeding cap, C(slots, k) C(rest + slots - 1, slots - 1) computed
+    afresh for each term k, rest = total - k(cap + 1)."""
+    terms = ((k, total - k * (cap + 1)) for k in range(slots + 1))
+    return sum((-1) ** k * comb(slots, k) * comb(rest + slots - 1, slots - 1) for k, rest in terms if rest >= 0)
 
 
 def brute_admissible(g: int, m: int, nu: int) -> list[tuple[int, ...]]:

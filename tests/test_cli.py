@@ -261,6 +261,17 @@ def test_survey_marks_skipped_rows(capsys):
     assert all("SKIPPED" in row for row in rows)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_survey_reaches_the_first_vanishing_power_at_default_settings(g, capsys):
+    # The default bound admits C(2gm, 2g) up to (5, 11), about 4.69e13.
+    code, out, _ = run_cli(capsys, "survey", "--genus", str(g), "--power-max", str(2 * g + 1))
+    assert code == 0
+    rows = out.rstrip("\n").split("\n")[2:]
+    assert len(rows) == 2 * g + 1
+    assert not any("SKIPPED" in row for row in rows)
+    assert rows[-1].split()[3] == "zero"
+
+
 def test_survey_g2_survivor_counts(capsys):
     code, out, _ = run_cli(capsys, "survey", "--genus", "2", "--power-max", "5")
     assert code == 0
@@ -285,21 +296,40 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def _imports(module) -> list[tuple[str, list[str]]]:
+    """Each module that the source of ``module`` imports, with the names it
+    takes from it (none for a plain ``import``)."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.name, []) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append((node.module or "", [a.name for a in node.names]))
+    return out
+
+
 def test_cli_imports_no_private_name_and_no_lower_layer():
     """The command line only renders replay_proof certificates: it imports no
     underscore name, nothing from diagonals, cohomology or exact, and not
-    graded_dimension, since the certificate alone decides the shadow's bound."""
-    lower = {"diagonals", "cohomology", "exact", "graded_dimension"}
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    comb, since the certificate alone decides the shadow's bound."""
+    lower = {"diagonals", "cohomology", "exact", "comb"}
+    imports = _imports(cli)
     assert imports
-    for node in imports:
-        modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
-        names = [] if isinstance(node, ast.Import) else [a.name for a in node.names]
-        for module in modules:
-            assert not lower & set(module.split(".")), module
+    for module, names in imports:
+        assert not lower & set(module.split(".")), module
         for name in names:
             assert not name.startswith("_") and name not in lower, name
+
+
+def test_grading_imports_nothing_from_cohomology():
+    """The certificate's shadow reads the live images of the closed form from
+    diagonals and runs no exterior-algebra code, so the layer that writes
+    certificates imports nothing from the cohomology module."""
+    imports = _imports(grading)
+    assert imports
+    for module, names in imports:
+        assert "cohomology" not in module.split(".") + names, (module, names)
 
 
 def test_each_certificate_step_is_built_by_one_step_call():

@@ -46,7 +46,7 @@ from modiag import (
     wedge,
     zero_class,
 )
-from modiag.cohomology import _live_images
+from modiag.diagonals import _live_images
 from modiag.grading import LAYERS, PASS, replay_proof
 
 E1 = Ambient(1, 1)
@@ -510,8 +510,9 @@ def test_shadow_and_closed_form_take_no_binomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("c(S) must not be summed by binomials")
 
-    monkeypatch.setattr("modiag.cohomology.comb", refuse, raising=False)
-    for g, m, kwargs in [(1, 2236, {}), (3, 3000, {"max_dim": 10**40})]:
+    monkeypatch.setattr("modiag.diagonals.comb", refuse, raising=False)
+    # (1, 7071068) is the largest g = 1 power the default bound admits.
+    for g, m, kwargs in [(1, 7071068, {}), (3, 3000, {"max_dim": 10**40})]:
         shadow = replay_proof(g, m, layers=("cohomology",), **kwargs).steps[0]
         assert shadow.status == PASS
         assert shadow.witness["support"] == [] and shadow.witness["is_zero"]

@@ -34,7 +34,8 @@ multiplication check still pushed one representative diagonal per orbit,
 before it folded the orbit coefficients.  The cohomology (2600,3) file
 states C(2gm, 2g), 4,311 digits, in its SKIPPED step; it was written with
 Python's int-to-text digit limit lifted, before the library wrote such
-integers itself.
+integers itself, and its ``max_dim`` line was rewritten when the default
+bound was raised from 10^7 to 10^14.
 """
 
 from pathlib import Path
@@ -62,15 +63,15 @@ GOLDEN = {
     "verify-g2-m7.json": _verify(2, 7),
     # The boundary pairs: both pigeonhole outcomes and the survivor witness.
     # (5,6) lists all 126 survivors and (6,5) the first 128 of 330, pinning
-    # the survivor order and the list cap.  The shadow's graded dimension is
-    # above the default bound at all of these, and verify refuses such a
-    # request with exit 2, so these leave it out.
+    # the survivor order and the list cap.  They leave the shadow out: its
+    # graded dimension was above the default bound of the time, 10^7, at all
+    # of them, and verify refuses such a request with exit 2.
     **{
         f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
         for g, m in ((4, 8), (4, 9), (5, 10), (5, 11), (5, 6), (6, 5))
     },
     # All layers at g = 4 up to the first vanishing power, with the shadow's
-    # bound raised past its graded dimension.
+    # bound given explicitly, past its graded dimension.
     **{
         f"verify-g4-m{m}-shadow.json": _verify(4, m, "--max-dim", "100000000000000")
         for m in range(5, 10)

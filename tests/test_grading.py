@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_admissible, digit_limit, flat_kunneth_survivors, json_oracle
+from helpers import brute_admissible, digit_limit, flat_kunneth_survivors, json_oracle, per_term_count_bounded
 from modiag import (
     Ambient,
     admissible_degrees,
@@ -28,6 +28,7 @@ from modiag import (
 from modiag import grading
 from modiag.grading import (
     ASSUMED,
+    DEFAULT_MAX_DIM,
     FAIL,
     LAYERS,
     PASS,
@@ -114,6 +115,21 @@ def test_admissible_degrees_walks_without_recursion(nu, degree):
 def test_count_admissible_large_values():
     # counting never enumerates, so huge spaces are fine
     assert count_admissible(3, 9, 2 * 3 * 8) == len(admissible_degrees(3, 9, 48))
+
+
+@given(st.integers(1, 40), st.integers(1, 12), st.data())
+def test_count_bounded_matches_the_per_term_oracle(slots, cap, data):
+    total = data.draw(st.integers(-2, slots * cap + 2))
+    assert grading._count_bounded(slots, total, cap) == per_term_count_bounded(slots, total, cap)
+
+
+def test_count_admissible_at_a_middle_total_carries_its_binomials():
+    # 1,667 inclusion-exclusion terms, each a product of binomials of up to
+    # about 3,000 digits: computing both afresh per term took about 2.7 s.
+    start = time.perf_counter()
+    count = count_admissible(1, 5000, 5000)
+    assert time.perf_counter() - start < 1
+    assert count == per_term_count_bounded(5000, 5000, 2)
 
 
 def test_filter_top_examples():
@@ -511,6 +527,23 @@ def test_cohomology_bound_skips_past_the_digit_limit():
     assert shadow.statement.endswith(f" dimension {dimension}, beyond the configured bound")
     assert f'"graded_dimension": {dimension},' in certificate_to_json(cert)
     assert digit_limit() == limit
+
+
+def test_default_bound_admits_at_most_462_profiles():
+    # The shadow lists C(2g-1, m-1) profiles at m <= 2g and none beyond.
+    # C(2gm, 2g) grows with m, and C(4g, 2g) with g, so once (g, 2) is
+    # refused only m = 1 is admitted at that g and every larger one, with
+    # one profile.  No walk: binomials alone.
+    profiles = {}
+    g = 1
+    while math.comb(4 * g, 2 * g) < DEFAULT_MAX_DIM:
+        for m in range(1, 2 * g + 1):
+            if math.comb(2 * g * m, 2 * g) < DEFAULT_MAX_DIM:
+                profiles[g, m] = math.comb(2 * g - 1, m - 1)
+        g += 1
+    assert max(profiles.values()) == profiles[6, 6] == 462
+    (shadow,) = replay_proof(6, 6, layers=("cohomology",)).steps
+    assert (shadow.status, len(shadow.witness["support"])) == (PASS, 462)
 
 
 def test_cohomology_step_consistent_for_small_m():
