@@ -82,7 +82,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             )
             return 2
     payload = certificate_to_json(cert) if args.format == "json" else certificate_to_text(cert)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
@@ -102,11 +102,7 @@ def _accepted(cert) -> bool:
     and no vanishing is claimed.  Anything else failing is a genuine
     verification failure.
     """
-    if cert.result == PASS:
-        return True
-    return cert.m <= 2 * cert.g and all(
-        s.status != FAIL or s.kind == PIGEONHOLE for s in cert.steps
-    )
+    return all(s.status != FAIL or (s.kind == PIGEONHOLE and cert.m <= 2 * cert.g) for s in cert.steps)
 
 
 def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
@@ -146,7 +142,3 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(args, parser)
     return cmd_survey(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

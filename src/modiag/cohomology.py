@@ -157,15 +157,16 @@ class ExtClass(_Combination):
     the modified diagonal and ``Fraction`` where a caller passes one."""
 
 
-def _generator_count(ambient: Ambient) -> int:
-    return 2 * ambient.g * ambient.m
+def _top(ambient: Ambient) -> int:
+    """The top monomial: every one of the 2gm generators."""
+    return (1 << 2 * ambient.g * ambient.m) - 1
 
 
 def ext_class(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> ExtClass:
     t = combo(terms)
-    limit = 1 << _generator_count(ambient)
+    top = _top(ambient)
     for mask in t:
-        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < limit:
+        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask <= top:
             raise ValueError(f"monomial {_int_repr(mask)} is outside the generator set")
     return ExtClass(ambient, t)
 
@@ -201,14 +202,13 @@ def generator(ambient: Ambient, block: int, index: int) -> ExtClass:
 
 
 def _merge_sign(a: int, b: int) -> int:
-    """Koszul sign for concatenating disjoint monomials a then b."""
-    inversions = 0
-    rest = a
-    while rest:
-        low = rest & -rest
-        inversions += (b & (low - 1)).bit_count()
-        rest &= rest - 1
-    return -1 if inversions & 1 else 1
+    """Koszul sign for concatenating disjoint monomials a then b: the parity
+    of the pairs (p in a, q in b) with q < p.  A prefix XOR turns bit p of
+    ``below`` into the parity of b's bits under p."""
+    below, step = b << 1, 1
+    while step < a.bit_length():
+        below, step = below ^ below << step, step << 1
+    return -1 if (a & below).bit_count() & 1 else 1
 
 
 def ext_add(a: ExtClass, b: ExtClass) -> ExtClass:
@@ -233,8 +233,7 @@ def wedge(a: ExtClass, b: ExtClass) -> ExtClass:
 
 def integrate(c: ExtClass) -> Fraction:
     """Coefficient of the top monomial; zero on everything of lower degree."""
-    top = (1 << _generator_count(c.ambient)) - 1
-    return c.terms.get(top, Fraction(0))
+    return c.terms.get(_top(c.ambient), Fraction(0))
 
 
 def _degree_one_images(f: LinearMap, g: int) -> list[tuple[int, int]]:
@@ -309,10 +308,9 @@ def pushforward(f: LinearMap, c: ExtClass) -> ExtClass:
     g = amb.g
     target = Ambient(g, f.target_blocks)
     image = _degree_one_images(f, g)
-    n_in = 2 * g * f.source_blocks
-    src_top = (1 << n_in) - 1
-    tgt_top = (1 << 2 * g * f.target_blocks) - 1
-    preimages: list[list[int]] = [[] for _ in range(n_in)]
+    src_top = _top(amb)
+    tgt_top = _top(target)
+    preimages: list[list[int]] = [[] for _ in range(src_top.bit_length())]
     for t, (k, q) in enumerate(image):
         if k:
             preimages[q].append(1 << t)
@@ -356,7 +354,7 @@ def modified_diagonal_class(ambient: Ambient) -> ExtClass:
     """
     g, m = ambient.g, ambient.m
     two_g = 2 * g
-    top = (1 << (two_g * m)) - 1
+    top = _top(ambient)
     out: dict = {}
     for c, image in _live_images(g, m):
         # An entry fixes kappa(1..k): b is its transversal, odd its inversion parity and

@@ -14,7 +14,9 @@ a time.  Certificates are written by the standard library's
 coefficient c(S) is summed by superset size, one binomial per size, the
 form its power of (+1) + (-1) replaced.  Bounded compositions are counted
 by inclusion-exclusion with two fresh binomials per term and no
-reflection, the form that carrying them from term to term replaced.
+reflection, the form that carrying them from term to term replaced.  The
+Koszul sign of two disjoint monomials counts its inversions one set bit at
+a time, the form the prefix XOR replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from modiag import (
     pushforward,
     wedge,
 )
-from modiag.cohomology import _degree_one_images, _merge_sign, _pull_monomial
+from modiag.cohomology import _degree_one_images, _pull_monomial
 from modiag.exact import _add_term
 
 
@@ -140,6 +142,18 @@ def pushforward_satisfies_adjunction(f, alpha) -> bool:
     return True
 
 
+def loop_merge_sign(a: int, b: int) -> int:
+    """The oracle for ``cohomology._merge_sign``: for each set bit of a,
+    count the bits of b below it."""
+    inversions = 0
+    rest = a
+    while rest:
+        low = rest & -rest
+        inversions += (b & (low - 1)).bit_count()
+        rest &= rest - 1
+    return -1 if inversions & 1 else 1
+
+
 def dual_basis_pushforward(f, c):
     """The oracle for ``cohomology.pushforward``: the dual-basis method.
 
@@ -179,9 +193,9 @@ def dual_basis_pushforward(f, c):
             coeff = part.get(src_top ^ sigma)
             if coeff is None:
                 continue
-            value = coeff * k * _merge_sign(src_top ^ sigma, sigma)
+            value = coeff * k * loop_merge_sign(src_top ^ sigma, sigma)
             nu = tgt_top ^ mu
-            _add_term(out, nu, value * _merge_sign(nu, mu))
+            _add_term(out, nu, value * loop_merge_sign(nu, mu))
     return ExtClass(target, out)
 
 

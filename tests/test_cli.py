@@ -194,6 +194,12 @@ def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_verify_empty_out_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--genus", "1", "--power", "2", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: cannot write the certificate to ")
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--genus", "1", "--power", "3", "--format", "text")
     assert code == 0
@@ -236,6 +242,30 @@ def test_survey_failure_exit_code_is_one(capsys, monkeypatch):
     assert code == 1
     rows = out.rstrip("\n").split("\n")[2:]
     assert [row.split()[1] for row in rows] == ["pass", "FAIL", "pass"]
+
+
+def _fail_pigeonhole(g, m, **kwargs):
+    """The real certificate with its pigeonhole step marked FAIL."""
+    cert = replay_proof(g, m, **kwargs)
+    steps = tuple(
+        type(s)(**{**vars(s), "status": "FAIL"}) if s.kind == grading.PIGEONHOLE else s
+        for s in cert.steps
+    )
+    return type(cert)(**{**vars(cert), "steps": steps, "result": "FAIL"})
+
+
+def test_pigeonhole_failure_past_the_threshold_exits_one(capsys, monkeypatch):
+    # a pigeonhole FAIL is accepted only where no vanishing is claimed, m <= 2g
+    monkeypatch.setattr(cli, "replay_proof", _fail_pigeonhole)
+    code, out, _ = run_cli(capsys, "verify", "--genus", "1", "--power", "2")
+    assert (code, json.loads(out)["result"]) == (0, "FAIL")
+    code, out, _ = run_cli(capsys, "verify", "--genus", "1", "--power", "3")
+    failed = [s["id"] for s in json.loads(out)["steps"] if s["status"] == "FAIL"]
+    assert (code, failed) == (1, ["top-degree-pigeonhole"])
+    code, _, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "2")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "3")
+    assert code == 1
 
 
 def test_survey_rows_and_determinism(capsys):

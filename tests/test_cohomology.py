@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     binomial_image_coefficient,
     dual_basis_pushforward,
+    loop_merge_sign,
     monomials_of_degree,
     pushforward_satisfies_adjunction,
     random_homogeneous,
@@ -46,6 +47,7 @@ from modiag import (
     wedge,
     zero_class,
 )
+from modiag.cohomology import _merge_sign
 from modiag.diagonals import _live_images
 from modiag.grading import LAYERS, PASS, replay_proof
 
@@ -107,6 +109,36 @@ def test_ext_class_rejects_foreign_monomials():
         ext_class(E1, {True: 1})
     with pytest.raises(ValueError):
         monomial_mask(E1, [(1, 1), (1, 1)])
+
+
+@pytest.mark.parametrize("ambient", [E2, Ambient(2, 3)])
+def test_ext_class_accepts_the_top_monomial_and_nothing_above(ambient):
+    top = (1 << 2 * ambient.g * ambient.m) - 1
+    assert integrate(ext_class(ambient, {top: 1})) == 1
+    with pytest.raises(ValueError, match="outside the generator set"):
+        ext_class(ambient, {top + 1: 1})
+
+
+def test_merge_sign_matches_the_per_bit_loop_below_nine_bits():
+    for a in range(1 << 9):
+        free = (1 << 9) - 1 ^ a
+        b = free
+        while True:  # every submask of the complement of a
+            assert _merge_sign(a, b) == loop_merge_sign(a, b), (a, b)
+            if not b:
+                break
+            b = (b - 1) & free
+
+
+def test_merge_sign_matches_the_per_bit_loop_up_to_sixty_bits():
+    # 2gm = 60 at g = 3, m = 10
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 60)
+        labels = [rng.randrange(3) for _ in range(n)]
+        a = sum(1 << p for p, t in enumerate(labels) if t == 1)
+        b = sum(1 << p for p, t in enumerate(labels) if t == 2)
+        assert _merge_sign(a, b) == loop_merge_sign(a, b), (a, b)
 
 
 def test_integrate_picks_top_coefficient():

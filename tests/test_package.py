@@ -78,3 +78,26 @@ def test_each_input_refusal_is_written_once():
     ]
     assert ranges == [("diagonals.py", "_require_in")]
     assert [fn for fn, text in _fstrings(src / "cli.py") if "must be >= 1" in text] == ["main"]
+
+
+def _is_main_guard(node) -> bool:
+    test = getattr(node, "test", None)
+    return (
+        isinstance(node, ast.If)
+        and isinstance(test, ast.Compare)
+        and getattr(test.left, "id", None) == "__name__"
+        and [getattr(c, "value", None) for c in test.comparators] == ["__main__"]
+    )
+
+
+def test_only_the_main_module_is_an_entry_point():
+    """``python -m modiag`` runs ``__main__.py`` and the console script calls
+    ``modiag.cli:main``, so no other module carries an ``if __name__ ==
+    "__main__"`` block."""
+    src = Path(modiag.__file__).parent
+    guarded = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if any(_is_main_guard(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert guarded == ["__main__.py"]
