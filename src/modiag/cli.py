@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dim",
         type=int,
         default=DEFAULT_MAX_DIM,
-        dest="max_dim",
         help=(
             "refuse the cohomology shadow when its graded dimension C(2gm, 2g)"
             " reaches this bound; the dimension is not the shadow's work"
@@ -59,11 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(DEFAULT_LAYERS),
         help=f"comma-separated subset of {','.join(LAYERS)} (default: %(default)s)",
     )
-    verify.add_argument("--format", choices=("json", "text"), default="json", dest="format")
-    verify.add_argument("--out", default=None, help="write the certificate here instead of stdout")
+    verify.add_argument("--format", choices=("json", "text"), default="json")
+    verify.add_argument("--out", help="write the certificate here instead of stdout")
 
     survey = sub.add_parser("survey", parents=[common], help="one row per m = 1..M summarizing every layer")
-    survey.add_argument("--power-max", type=int, required=True, dest="power_max")
+    survey.add_argument("--power-max", type=int, required=True)
     return parser
 
 

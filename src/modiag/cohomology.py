@@ -257,8 +257,8 @@ def _pull_monomial(image: list[tuple[int, int]], mask: int) -> tuple[int, int]:
     """Pull one target monomial back to (integer coefficient, source mask).
 
     Walks the target positions in increasing order, so the Koszul sign is
-    the parity of sorting the image positions; a repeated image or a zero
-    factor returns coefficient 0.
+    the parity of sorting the image positions; a repeated image returns
+    coefficient 0, and a zero factor zeroes it through the product.
     """
     coeff = 1
     out = 0
@@ -266,8 +266,6 @@ def _pull_monomial(image: list[tuple[int, int]], mask: int) -> tuple[int, int]:
     while rest:
         low = rest & -rest
         c, q = image[low.bit_length() - 1]
-        if c == 0:
-            return 0, 0
         bit = 1 << q
         if out & bit:
             return 0, 0

@@ -149,20 +149,21 @@ def _iter_bounded(slots: int, total: int, cap: int) -> Iterator[MultiDegree]:
     """The tuples in {0..cap}^slots with the given sum, in lexicographic
     order: those that ``_count_bounded(slots, total, cap)`` counts.
 
-    The least one is filled from the right.  Each next one raises the
-    rightmost entry below cap whose tail is nonzero, and refills that tail,
-    one less, from the right.  No recursion, so slots is not bounded by the
+    Each pass refills the entries after the pivot i from the right, using
+    up the tail, and yields; then it raises the next pivot, the rightmost
+    entry below cap whose tail is nonzero, taking one from that tail.  The
+    first pass, with i = -1 and the whole total as its tail, fills the
+    least tuple.  No recursion, so slots is not bounded by the
     interpreter's stack."""
     if not 0 <= total <= cap * slots:
         return
     degree = [0] * slots
-    rest = total
-    for j in range(slots - 1, -1, -1):
-        degree[j] = min(cap, rest)
-        rest -= degree[j]
+    i, tail = -1, total
     while True:
+        for j in range(slots - 1, i, -1):
+            degree[j] = min(cap, tail)
+            tail -= degree[j]
         yield tuple(degree)
-        tail = 0
         for i in range(slots - 1, -1, -1):
             if tail and degree[i] < cap:
                 break
@@ -171,9 +172,6 @@ def _iter_bounded(slots: int, total: int, cap: int) -> Iterator[MultiDegree]:
             return
         degree[i] += 1
         tail -= 1
-        for j in range(slots - 1, i, -1):
-            degree[j] = min(cap, tail)
-            tail -= degree[j]
 
 
 def admissible_degrees(g: int, m: int, nu: int) -> list[MultiDegree]:
@@ -348,7 +346,7 @@ def _to_json(value, newline: str) -> str:
 
 
 def certificate_to_text(cert: Certificate) -> str:
-    lines = [f"certificate schema {cert.schema_version}: g={cert.g} m={cert.m}"]
+    lines = [f"certificate schema {cert.schema_version}: g={_int_repr(cert.g)} m={_int_repr(cert.m)}"]
     for s in cert.steps:
         lines.append(f"[{s.status}] {s.kind} {s.id}: {s.statement}")
     lines.append(f"result: {cert.result}")
@@ -362,9 +360,7 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
     checks = []
     for n in mult_sample:
         factor = n ** (2 * g)
-        verified = True
-        for shape, ambient in shapes:
-            verified = verified and normalize_twist([n * x for x in shape], ambient) == (factor, shape)
+        verified = all(normalize_twist([n * x for x in shape], ambient) == (factor, shape) for shape, ambient in shapes)
         checks.append({"n": n, "factor": factor, "verified": verified})
     mult_step = Step(
         id="mult-eigenvalue",
@@ -399,13 +395,16 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
 
 
 def _grading_steps(g: int, m: int) -> list[Step]:
+    nu = weight_from_eigenvalue(g, m, 2 * g)
+    # the statements quote these texts, which _int_repr writes past the int-to-text digit limit
+    top_text, m_text, nu_text = map(_int_repr, (2 * g, m, nu))
     steps = [
         Step(
             id="motivic-decomposition",
             kind=AXIOM,
             statement=(
                 "the rational motive of an abelian scheme splits into weight pieces"
-                f" h^i, i = 0..{2 * g}, with multiplication-by-n pushforward acting"
+                f" h^i, i = 0..{top_text}, with multiplication-by-n pushforward acting"
                 " on h^i by n^(2g-i), and products decompose by Kunneth profile"
                 " with projections an isomorphism on the top piece"
             ),
@@ -423,14 +422,13 @@ def _grading_steps(g: int, m: int) -> list[Step]:
             },
         )
     ]
-    nu = weight_from_eigenvalue(g, m, 2 * g)
     steps.append(
         Step(
             id="eigenweight",
             kind=EIGENWEIGHT,
             statement=(
-                f"the pushforward eigen-exponent {2 * g} pins the modified diagonal"
-                f" to total weight {nu} = 2g(m-1)"
+                f"the pushforward eigen-exponent {top_text} pins the modified diagonal"
+                f" to total weight {nu_text} = 2g(m-1)"
             ),
             reference="eigen-exponent w on total weight nu satisfies w = 2gm - nu",
             status=PASS if nu == 2 * g * (m - 1) else FAIL,
@@ -454,8 +452,8 @@ def _grading_steps(g: int, m: int) -> list[Step]:
         and (survivor_count <= SURVIVOR_LIST_CAP or _rank(survivors[-1], 2 * g - 1) == SURVIVOR_LIST_CAP - 1)
     )
     statement = (
-        f"enumerate the multidegrees in {{0..{2 * g}}}^{m} of total {nu}"
-        f" and drop those with an entry {2 * g}, whose components die"
+        f"enumerate the multidegrees in {{0..{top_text}}}^{m_text} of total {nu_text}"
+        f" and drop those with an entry {top_text}, whose components die"
         " under a contraction; cross-check the count analytically"
     )
     reference = "bounded compositions by direct enumeration and by inclusion-exclusion"
@@ -478,13 +476,13 @@ def _grading_steps(g: int, m: int) -> list[Step]:
     }
     if outcome.holds:
         statement = (
-            f"every multidegree in {{0..{2 * g}}}^{m} of total {nu} has an entry"
-            f" {2 * g}: otherwise all {m} complements to {2 * g} would be at least 1"
-            f" while summing to {outcome.complement_total}, impossible for m >= 2g+1"
+            f"every multidegree in {{0..{top_text}}}^{m_text} of total {nu_text} has an entry"
+            f" {top_text}: otherwise all {m_text} complements to {top_text} would be at least 1"
+            f" while summing to {top_text}, impossible for m >= 2g+1"
         )
     else:
         statement = (
-            f"multidegrees of total {nu} with no entry {2 * g} exist for m <= 2g,"
+            f"multidegrees of total {nu_text} with no entry {top_text} exist for m <= 2g,"
             " so the weight argument does not conclude; vanishing is not claimed"
         )
         witness["counterexample"] = list(outcome.counterexample)
@@ -527,11 +525,11 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     bounded walk with 2g placed off the image.
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
-    term of the class is built.  At m <= 2g the support must hold
-    C(2g-1, m-1) distinct profiles, a binomial that does not come from the
-    walk, and each of them is checked against the definition of a survivor,
-    total 2g(m-1) and every entry in 0..2g-1, not against the grading
-    layer's list."""
+    term of the class is built.  The support must hold C(2g-1, m-1)
+    distinct profiles, a binomial that does not come from the walk and is 0
+    for m >= 2g+1, and each of them is checked against the definition of a
+    survivor, total 2g(m-1) and every entry in 0..2g-1, not against the
+    grading layer's list; the containment is written out at m <= 2g."""
     dim = comb(2 * g * m, 2 * g)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:
@@ -545,6 +543,8 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
         top = 2 * g
         support = _shadow_support(g, m)
         top_clear = all(top not in p for p in support)
+        contained = all(_is_survivor(p, g, m) for p in support)
+        distinct = all(a < b for a, b in zip(support, support[1:]))
         witness["is_zero"] = not support
         witness["support"] = [list(p) for p in support]
         witness["top_entry_components_zero"] = top_clear
@@ -553,17 +553,14 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
             " the motivic-decomposition axiom"
         )
         if m > top:
-            ok = not support
             statement = "the exterior-algebra realization of the modified diagonal vanishes identically"
         else:
-            contained = all(_is_survivor(p, g, m) for p in support)
             witness["survivor_containment"] = "verified" if contained else "violated"
-            distinct = all(a < b for a, b in zip(support, support[1:]))
-            ok = top_clear and contained and distinct and len(support) == comb(top - 1, m - 1)
             statement = (
                 "the exterior-algebra realization is supported on surviving Kunneth"
                 " profiles, none containing a top entry; nonvanishing is reported, not claimed"
             )
+        ok = top_clear and contained and distinct and len(support) == comb(top - 1, m - 1)
         status = PASS if ok else FAIL
     reference = "exterior-algebra model of H*(abelian variety)"
     return Step("cohomology-shadow", COHOMOLOGY_CHECK, statement, reference, status, witness)

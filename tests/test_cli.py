@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import child_env, digit_limit
-from modiag import certificate_to_json, cli, grading, replay_proof
+from modiag import certificate_to_json, certificate_to_text, cli, grading, replay_proof
 from modiag.cli import main
 
 
@@ -142,6 +142,25 @@ def test_verify_states_an_exact_factor_past_the_digit_limit(capsys):
     factor = str(Decimal(3 ** 10000))
     assert len(factor) > 4300
     assert f'"factor": {factor},' in out
+
+
+def test_verify_states_a_grading_weight_past_the_digit_limit(capsys):
+    # m = 10^4299 has 4,300 digits, which int() still reads; the weight
+    # nu = 12(m - 1) quoted in the grading statements has 4,301.
+    limit = digit_limit()
+    m = 10**4299
+    code, out, _ = run_cli(capsys, "verify", "--genus", "6", "--power", str(m), "--layers", "grading")
+    assert code == 0
+    assert out == certificate_to_json(replay_proof(6, m, layers=("grading",)))
+    assert str(Decimal(12 * (m - 1))) in out
+    assert digit_limit() == limit
+
+
+def test_text_header_states_a_power_past_the_digit_limit():
+    limit = digit_limit()
+    text = certificate_to_text(replay_proof(1, 10**5000, layers=("grading",)))
+    assert text.startswith(f"certificate schema 1: g=1 m={Decimal(10**5000)}\n")
+    assert digit_limit() == limit
 
 
 def test_library_json_past_the_digit_limit_matches_the_command_line(capsys):

@@ -196,6 +196,23 @@ def test_pullback_scaling_weights_by_block_degree():
     assert pullback(f, c) == ext_scale(c, 2 * 3 * 3)
 
 
+def test_pullback_through_a_zero_factor_drops_every_term_it_touches():
+    # every monomial of E2 with its own coefficient; scaling by 0 on block 1
+    # kills each one holding a block-1 generator, and scaling by 2 on block 2
+    # multiplies the rest by 2 per generator, with no reordering sign
+    block1 = (1 << gen_position(E2, 1, 1)) | (1 << gen_position(E2, 1, 2))
+    c = ext_class(E2, {mask: Fraction(mask + 1) for mask in range(16)})
+    expected = {mask: Fraction(mask + 1) * 2 ** mask.bit_count() for mask in range(16) if not mask & block1}
+    assert len(expected) == 4
+    assert pullback(scaling_map((0, 2)), c) == ext_class(E2, expected)
+
+
+def test_pullback_along_a_zero_diagonal_factor_is_zero():
+    for k in (1, 2):
+        assert pullback(diagonal_map((0, 1)), generator(E2, 1, k)).is_zero
+        assert pullback(diagonal_map((0, 1)), generator(E2, 2, k)) == generator(E1, 1, k)
+
+
 def test_pushforward_identity_diagonal():
     assert pushforward(diagonal_map((1,)), unit(E1)) == unit(E1)
 

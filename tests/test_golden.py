@@ -1,41 +1,13 @@
-"""Byte-identity of command-line output against files in tests/golden/.
+"""Byte-identity of certificates and survey tables against tests/golden/.
 
-The files were written by the command line before the combination core and
-the survey were refactored, the g=3 certificates before the cohomology
-shadow moved to its closed form, the (1,10) and (2,7) certificates before
-the formal layer moved to integer coefficients, and the formal and grading
-certificates at (4,8), (4,9), (5,10) and (5,11) before the Kunneth
-survivors were walked as complement multisets, and the formal and grading
-certificates at (1,16) and (1,18) before the formal identities were checked
-on orbit sums, and the formal and grading certificates at (5,6) and (6,5)
-before the survivor walk went factor by factor, and the all-layer
-certificates at (3,6) and (3,7), and at (4,5) to (4,9) with the shadow's
-bound raised, before the shadow read its support from compositions, and
-the shadow alone at (1,2000) before c(S) was read by factor, and the
-grading certificate at (300,3) before the survivors and the shadow's
-support were listed by one bounded walk, and the grading certificate at
-(12,13), with the enumeration bound raised, before the survivor step
-listed only the survivors it embeds and the bound was retired; any change
-to certificate or survey bytes must show up here.  Each file in GOLDEN is the stdout of
-``python -m modiag`` with the arguments listed for it.  Each file in
-LIBRARY_GOLDEN is ``certificate_to_json(replay_proof(**kwargs))`` for the
-keyword arguments listed for it, pinning what the command line cannot
-reach.  The files were written by ``json.dumps(indent=2)`` before
-certificates were written directly; that form stays the oracle in
-``helpers.json_oracle``.  The (1,3) file was written before certificates
-were serialized from their record fields, in constructor order; its
-``cohomology-shadow`` step is SKIPPED.  Its ``kunneth-survivors`` step,
-and that of the (3,40) file, were rewritten when the enumeration bound
-that SKIPped them was retired: they list their empty survivor set.  The (2,7) file was written before the orbit-sum
-formal checks; its sample holds n = -1 and 1, the unit cases of the gcd
-and sign rules.  The formal (1,500) certificate and the formal and grading
-(3,40) certificate, whose sample holds -1, 1 and 5, were written while the
-multiplication check still pushed one representative diagonal per orbit,
-before it folded the orbit coefficients.  The cohomology (2600,3) file
-states C(2gm, 2g), 4,311 digits, in its SKIPPED step; it was written with
-Python's int-to-text digit limit lifted, before the library wrote such
-integers itself, and its ``max_dim`` line was rewritten when the default
-bound was raised from 10^7 to 10^14.
+Each file in GOLDEN is the stdout of ``python -m modiag`` with the
+arguments listed for it.  Each file in LIBRARY_GOLDEN is
+``certificate_to_json(replay_proof(**kwargs))`` for the keyword arguments
+listed for it, pinning what the command line cannot reach.  Every file was
+written by earlier code and is not regenerated unless CHANGES.md states a
+contract change, so any change to certificate or survey bytes shows up
+here.  ``json.dumps(indent=2)`` wrote them before certificates were written
+directly, and stays the writer's oracle in ``helpers.json_oracle``.
 """
 
 from pathlib import Path
@@ -63,9 +35,8 @@ GOLDEN = {
     "verify-g2-m7.json": _verify(2, 7),
     # The boundary pairs: both pigeonhole outcomes and the survivor witness.
     # (5,6) lists all 126 survivors and (6,5) the first 128 of 330, pinning
-    # the survivor order and the list cap.  They leave the shadow out: its
-    # graded dimension was above the default bound of the time, 10^7, at all
-    # of them, and verify refuses such a request with exit 2.
+    # the survivor order and the list cap.  They leave the shadow out, which
+    # the g = 4 files below pin up to the first vanishing power.
     **{
         f"verify-g{g}-m{m}.json": _verify(g, m, layers="formal,grading")
         for g, m in ((4, 8), (4, 9), (5, 10), (5, 11), (5, 6), (6, 5))
@@ -81,8 +52,7 @@ GOLDEN = {
     # The grading layer alone at a large genus: 179,101 survivors, of which
     # the first 128 are listed, and the cap 2g - 1 binds on the first entry.
     "verify-g300-m3-grading.json": _verify(300, 3, layers="grading"),
-    # 1,352,078 survivors, of which the first 128 are listed; the retired
-    # enumeration bound SKIPped this step at its default.
+    # 1,352,078 survivors, of which the first 128 are listed.
     "verify-g12-m13-grading.json": _verify(12, 13, layers="grading"),
     "verify-g2-m4.txt": _verify(2, 4, "--format", "text"),
     "survey-g1-M9.txt": ("survey", "--genus", "1", "--power-max", "9"),
@@ -92,6 +62,7 @@ GOLDEN = {
 
 LIBRARY_GOLDEN = {
     "replay-g1-m3-skipped.json": dict(g=1, m=3, layers=LAYERS, max_dim=5),
+    # n = -1 and 1 are the unit cases of the gcd and sign rules.
     "replay-g2-m7-formal-unit-sample.json": dict(
         g=2, m=7, layers=("formal",), mult_sample=(-1, 1, 5, -4)
     ),
@@ -99,6 +70,8 @@ LIBRARY_GOLDEN = {
     "replay-g3-m40-formal-grading.json": dict(
         g=3, m=40, layers=("formal", "grading"), mult_sample=(-1, 1, 5)
     ),
+    # SKIPPED at the default bound, stating C(2gm, 2g): 4,311 digits, past
+    # Python's int-to-text digit limit.
     "replay-g2600-m3-cohomology-skipped.json": dict(g=2600, m=3, layers=("cohomology",)),
 }
 
