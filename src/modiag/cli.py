@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 
 from .grading import (
     DEFAULT_LAYERS,
@@ -73,6 +72,8 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     cert = replay_proof(args.genus, args.power, layers=layers, max_dim=args.max_dim)
     for s in cert.steps:
         if s.id == "cohomology-shadow" and s.status == SKIPPED:
+            from decimal import Decimal  # writes a dimension past the int-to-text digit limit
+
             print(
                 f"error: the cohomology layer at g={cert.g} m={cert.m} needs a graded piece of"
                 f" dimension {Decimal(s.witness['graded_dimension'])}, at or above the bound"
@@ -106,6 +107,8 @@ def _accepted(cert) -> bool:
 
 def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
     """The survey line for power m, and whether its certificate is accepted."""
+    from decimal import Decimal  # writes a count past the int-to-text digit limit
+
     cert = replay_proof(g, m, layers=LAYERS, max_dim=max_dim)
     steps = {s.id: s for s in cert.steps}
     formal = "pass" if all(s.status == PASS for s in cert.steps if s.kind == FORMAL_IDENTITY) else "FAIL"

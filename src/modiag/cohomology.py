@@ -85,11 +85,12 @@ onto {1..m}: zero for m > 2g, the pigeonhole read in cohomology (Beauville
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .diagonals import Ambient, FormalCycle, _as_int, _as_ints, _Combination, _common_ambient, _live_images, _Record, _require_in, twist_cycle
-from .exact import _add_term, _int_repr, _map_terms, combo, combo_add, combo_scale, render_terms
+from .cycles import FormalCycle, _Combination, _common_ambient, twist_cycle
+from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _live_images, _Record, _require_in
+from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
 
 
 class LinearMap(_Record):
@@ -124,6 +125,12 @@ def diagonal_map(v) -> LinearMap:
 
 
 def projection_map(source_blocks: int, retained) -> LinearMap:
+    """The projection of X^source_blocks onto the retained factors.
+
+    The map stores a tuple of ``len(retained)`` entries, at most
+    ``source_blocks`` since they strictly increase, so its time and memory
+    grow with ``source_blocks``; no bound is applied.
+    """
     source_blocks = _as_int(source_blocks)
     retained = _as_ints(retained)
     if not retained:
@@ -136,7 +143,11 @@ def projection_map(source_blocks: int, retained) -> LinearMap:
 
 
 def drop_factor_map(source_blocks: int, j: int) -> LinearMap:
-    """The projection X^m -> X^(m-1) forgetting factor j."""
+    """The projection X^m -> X^(m-1) forgetting factor j, m = source_blocks.
+
+    The map stores a tuple of ``source_blocks - 1`` entries, so its time and
+    memory grow with ``source_blocks``; no bound is applied.
+    """
     source_blocks, j = _as_ints((source_blocks, j))
     if source_blocks < 2:
         raise ValueError("cannot drop the only factor")

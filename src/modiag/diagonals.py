@@ -8,10 +8,8 @@ x -> (v_1*x, ..., v_m*x).  Only the zero section appears as a base point:
 translation by any other section is an automorphism of X^m carrying one
 modified diagonal to the other, so nothing is lost.
 
-Cycles here are finite linear combinations of the D(v) with exact rational
-coefficients: ``int`` on the modified-diagonal path, ``Fraction`` where a
-caller passes one.  The vectors v are kept in a canonical form by two
-rewrite rules, both identities on rational Chow classes:
+The vectors v are kept in a canonical form by two rewrite rules, both
+identities on rational Chow classes:
 
   gcd rule    D(d*v) = d^(2g) * D(v) for d >= 1, because multiplication
               by d is finite flat of degree d^(2g);
@@ -70,8 +68,9 @@ S = {1..m} and 0 otherwise.  ``_live_images`` computes that power once for
 each image size up to min(2g, m), exactly and with no binomial, rather
 than assuming it, and yields the images with c != 0.
 
-The tuple calculus on 2^m vectors stays the oracle these rules are tested
-against.
+The tuple calculus on 2^m vectors, in ``cycles``, stays the oracle these
+rules are tested against.  This module holds what the certificate runs:
+the records, the integer rules, ``normalize_twist`` and the orbit sums.
 
 Soundness is asymmetric.  Every rewrite above is an identity in the
 rational Chow group, so a formal result of zero proves vanishing there.  A
@@ -86,12 +85,37 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
-
-from .exact import _add_term, _int_repr, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
+from collections.abc import Iterator
 
 TwistVector = tuple[int, ...]
+
+
+def _int_repr(value) -> str:
+    """``repr(value)``, with an int past Python's int-to-text digit limit,
+    which ``repr`` refuses, written through ``Decimal``, which converts any
+    int exactly: the library's one rule for writing a long integer, in
+    certificates, statements, messages, rendered sums and record ``repr``.
+
+    Only when ``repr`` hits the limit does it look inside a Fraction, dict,
+    list or tuple, writing each as ``repr`` would with the limit lifted;
+    anything else raises again.  ``decimal`` and ``fractions`` load only
+    then."""
+    try:
+        return repr(value)
+    except ValueError:  # past the int-to-text digit limit
+        from decimal import Decimal
+        from fractions import Fraction
+
+        if isinstance(value, int):
+            return str(Decimal(value))
+        if isinstance(value, Fraction):
+            return f"{type(value).__name__}({_int_repr(value.numerator)}, {_int_repr(value.denominator)})"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_int_repr(k)}: {_int_repr(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, (list, tuple)):
+            items = ", ".join(map(_int_repr, value)) + ("," if len(value) == 1 and isinstance(value, tuple) else "")
+            return f"[{items}]" if isinstance(value, list) else f"({items})"
+        raise
 
 
 class _Record:
@@ -161,37 +185,6 @@ def _require_in(what: str, value, lo: int, hi: int, error=ValueError) -> int:
     return value
 
 
-def _common_ambient(a, b) -> Ambient:
-    """The ambient shared by two cycles or two classes; a mismatch is an error."""
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    return a.ambient
-
-
-class _Combination(_Record):
-    """Base of the two combination records, ``FormalCycle`` and
-    ``ExtClass``: an ambient, and ``terms`` mapping basis keys (twist
-    vectors, or monomial bitmasks) to nonzero exact coefficients."""
-
-    def __init__(self, ambient: Ambient, terms: dict) -> None:
-        self.__dict__.update(ambient=ambient, terms=terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-class FormalCycle(_Combination):
-    """An exact rational combination of twisted diagonals on X^m.
-
-    ``terms`` maps canonical TwistVectors to nonzero coefficients: ``int``
-    in :func:`modified_diagonal` and its pushforwards, ``Fraction`` in
-    cycles built by :func:`cycle` or :func:`twist_cycle`.  Those two
-    normalize raw vectors and fold coefficients, keeping the representation
-    canonical.  Equality holds across the two types, since Fraction(k) == k.
-    """
-
-
 def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     """Rewrite a raw integer vector into (coefficient, canonical vector).
 
@@ -214,99 +207,6 @@ def normalize_twist(raw, ambient: Ambient) -> tuple[int, TwistVector | None]:
     return d ** (2 * ambient.g), tuple([x // d for x in entries])
 
 
-def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
-    """Build a cycle from raw (vector, coefficient) terms.
-
-    Raw vectors may be unnormalized; the gcd and sign rules are applied and
-    coefficients folded, so cycle(amb, {(2, 2): 1}) equals
-    2^(2g) * D((1, 1)).  The zero vector is rejected: it does not name a
-    twisted diagonal.
-    """
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict = {}
-    for raw, coeff in items:
-        c = Fraction(coeff)
-        if not c:
-            continue
-        extra, v = normalize_twist(raw, ambient)
-        if v is None:
-            raise ValueError("the zero vector does not name a twisted diagonal")
-        _add_term(out, v, c * extra)
-    return FormalCycle(ambient, out)
-
-
-def twist_cycle(ambient: Ambient, raw, coeff=1) -> FormalCycle:
-    """The single twisted diagonal coeff * D(raw), normalized."""
-    return cycle(ambient, [(tuple(raw), coeff)])
-
-
-def zero_cycle(ambient: Ambient) -> FormalCycle:
-    return FormalCycle(ambient, {})
-
-
-def modified_diagonal(ambient: Ambient) -> FormalCycle:
-    """The modified diagonal on X^m through the zero section.
-
-    Inclusion-exclusion over the 2^m - 1 nonempty subsets I of the factors:
-    the indicator vector of I enters with sign (-1)^(m - |I|).
-    """
-    m = ambient.m
-    terms: dict = {}
-    for bits in range(1, 1 << m):
-        v = tuple((bits >> i) & 1 for i in range(m))
-        terms[v] = -1 if (m - bits.bit_count()) & 1 else 1
-    return FormalCycle(ambient, terms)
-
-
-def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
-    """Pushforward along multiplication by n on factor j (n = 0 allowed).
-
-    Entry j of each vector is scaled by n and the result renormalized.  A
-    term whose vector becomes zero (only possible when n = 0 and the vector
-    was supported on factor j alone) collapses onto a point and is dropped.
-    n must be an integer; a bool, float, string or Fraction raises TypeError.
-    """
-    j = _require_in("factor index", j, 1, c.ambient.m, IndexError)
-    n = _as_int(n)
-    amb = c.ambient
-    return FormalCycle(
-        amb, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + (n * v[j - 1],) + v[j:], amb))
-    )
-
-
-def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
-    """Pushforward along multiplication by n on every factor at once.
-
-    Requires n != 0; n = 0 collapses all of X^m onto the zero section and
-    is out of scope.  Each term rescales by exactly n^(2g), which the gcd
-    and sign rules recover term by term.  n must be an integer; a bool,
-    float, string or Fraction raises TypeError.
-    """
-    n = _as_int(n)
-    if n == 0:
-        raise ValueError("n = 0 collapses the whole product; rejected")
-    amb = c.ambient
-    return FormalCycle(amb, _map_terms(c.terms, lambda v: normalize_twist([n * x for x in v], amb)))
-
-
-def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
-    """Pushforward along the projection X^m -> X^(m-1) forgetting factor j.
-
-    Entry j is deleted from each vector and the rest renormalized in the
-    smaller ambient.  A term whose remaining entries are all zero collapses
-    onto a point and is dropped.  Requires m >= 2: contracting the last
-    factor would land in the base, which is out of scope.
-    """
-    amb = c.ambient
-    if amb.m < 2:
-        raise ValueError("cannot contract the only factor")
-    j = _require_in("factor index", j, 1, amb.m, IndexError)
-    target = Ambient(amb.g, amb.m - 1)
-    return FormalCycle(
-        target, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + v[j:], target))
-    )
-
-
 def _orbit_signs(m: int) -> tuple[int, ...]:
     """The coefficients a_1..a_m of Gamma(m) = sum over k of a_k O_k on m
     factors: a_k = (-1)^(m-k) (module docstring), the last m entries of
@@ -324,25 +224,3 @@ def _live_images(g: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         if c:
             for image in itertools.combinations(range(m), size):
                 yield c, image
-
-
-def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:
-    return FormalCycle(_common_ambient(a, b), combo_add(a.terms, b.terms))
-
-
-def cycle_scale(c: FormalCycle, coeff) -> FormalCycle:
-    return FormalCycle(c.ambient, combo_scale(c.terms, coeff))
-
-
-def cycle_equal(a: FormalCycle, b: FormalCycle) -> bool:
-    """Exact equality of canonical forms.  Mismatched ambients are an error,
-    not inequality."""
-    _common_ambient(a, b)
-    return a.terms == b.terms
-
-
-def render_cycle(c: FormalCycle) -> str:
-    """Canonical text form: terms sorted by vector, 'coeff * D(v_1,...,v_m)'."""
-    return render_terms(
-        (coeff, f"D({','.join(map(str, v))})") for v, coeff in combo_sorted_items(c.terms)
-    )

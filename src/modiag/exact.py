@@ -17,38 +17,15 @@ combos as immutable values once built.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+
+from .diagonals import _int_repr
 
 Rational = Fraction
 
 # A combo is dict[K, int | Fraction] with no zero values, for totally ordered K.
 Combo = dict
-
-
-def _int_repr(value) -> str:
-    """``repr(value)``, with an int past Python's int-to-text digit limit,
-    which ``repr`` refuses, written through ``Decimal``, which converts any
-    int exactly: the library's one rule for writing a long integer, in
-    certificates, statements, messages, rendered sums and record ``repr``.
-
-    Only when ``repr`` hits the limit does it look inside a Fraction, dict,
-    list or tuple, writing each as ``repr`` would with the limit lifted;
-    anything else raises again."""
-    try:
-        return repr(value)
-    except ValueError:  # past the int-to-text digit limit
-        if isinstance(value, int):
-            return str(Decimal(value))
-        if isinstance(value, Fraction):
-            return f"{type(value).__name__}({_int_repr(value.numerator)}, {_int_repr(value.denominator)})"
-        if isinstance(value, dict):
-            return "{" + ", ".join(f"{_int_repr(k)}: {_int_repr(v)}" for k, v in value.items()) + "}"
-        if isinstance(value, (list, tuple)):
-            items = ", ".join(map(_int_repr, value)) + ("," if len(value) == 1 and isinstance(value, tuple) else "")
-            return f"[{items}]" if isinstance(value, list) else f"({items})"
-        raise
 
 
 def _add_term(out: dict, key, value) -> None:

@@ -58,14 +58,13 @@ identical for identical inputs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import add
-from typing import Iterable, Iterator
 
-from .diagonals import Ambient, _as_int, _as_ints, _live_images, _orbit_signs, _Record, _require_in, normalize_twist
-from .exact import _int_repr
+from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _live_images, _orbit_signs, _Record, _require_in, normalize_twist
 
 MultiDegree = tuple[int, ...]
 

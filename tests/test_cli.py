@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import child_env, digit_limit
-from modiag import certificate_to_json, certificate_to_text, cli, grading, replay_proof
+from modiag import certificate_to_json, certificate_to_text, cli, diagonals, grading, replay_proof
 from modiag.cli import main
 
 
@@ -379,6 +379,18 @@ def test_grading_imports_nothing_from_cohomology():
     assert imports
     for module, names in imports:
         assert "cohomology" not in module.split(".") + names, (module, names)
+
+
+def test_certificate_path_imports_no_oracle_module():
+    """``grading`` and ``diagonals`` are what the certificate runs, and
+    ``import modiag`` loads them alone: they import nothing from the oracle
+    calculus of ``cycles``, ``exact`` and ``cohomology``."""
+    oracle = {"cycles", "exact", "cohomology"}
+    for layer in (grading, diagonals):
+        imports = _imports(layer)
+        assert imports
+        for module, names in imports:
+            assert not oracle & set(module.split(".") + names), (layer.__name__, module, names)
 
 
 def test_each_certificate_step_is_built_by_one_step_call():

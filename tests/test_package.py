@@ -2,10 +2,13 @@
 loads."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import modiag
 from helpers import child_env
@@ -27,6 +30,13 @@ PUBLIC = """
     weight_from_eigenvalue zero_class zero_cycle
 """.split()
 
+# The public names of the certificate layer, loaded by ``import modiag``.
+GRADING = """
+    Certificate MultiDegree PigeonholeOutcome Step admissible_degrees
+    certificate_to_json certificate_to_text count_admissible filter_top
+    prove_empty_pigeonhole replay_proof weight_from_eigenvalue
+""".split()
+
 
 def test_public_names_are_pinned_and_sorted():
     assert len(PUBLIC) == 57 and PUBLIC == sorted(PUBLIC)
@@ -40,20 +50,73 @@ def _run_child(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env())
 
 
-def test_import_loads_every_layer():
-    layers = ("modiag.grading", "modiag.cohomology", "modiag.diagonals", "modiag.exact")
-    proc = _run_child("-c", f"import sys, modiag; print(all(n in sys.modules for n in {layers!r}))")
-    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+# What the certificate never runs, so neither ``import modiag`` nor the
+# command line's start-up loads it.
+ORACLE = ("modiag.cycles", "modiag.exact", "modiag.cohomology", "fractions", "decimal")
+
+
+def test_import_loads_only_the_certificate_path():
+    # The certificate runs grading and diagonals alone; the formal cycles,
+    # the combinations and the exterior algebra load on first use.
+    watched = ("modiag.grading", "modiag.diagonals") + ORACLE
+    proc = _run_child("-c", f"import sys, modiag; print([n for n in {watched!r} if n in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "['modiag.grading', 'modiag.diagonals']\n"), proc.stderr
 
 
 def test_command_line_start_up_loads_neither_dataclasses_nor_inspect():
-    # Each command is a fresh process, and importing these two took about
-    # 10 ms of its start-up (Python 3.11, 2-core Xeon).  -S keeps
-    # site-packages from loading them.
-    proc = _run_child(
-        "-S", "-c", "import sys, modiag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    # Each command is a fresh process, and importing dataclasses and inspect
+    # took about 10 ms of its start-up, typing about 6 ms and the oracle
+    # calculus with fractions and decimal about 11 ms (Python 3.11, 2-core
+    # Xeon, no bytecode cache).  -S keeps site-packages from loading them.
+    forbidden = ("dataclasses", "inspect", "typing") + ORACLE
+    proc = _run_child("-S", "-c", f"import sys, modiag.cli; print([n for n in {forbidden!r} if n in sys.modules])")
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_each_public_name_is_its_home_module_binding():
+    homes = {
+        **dict.fromkeys(GRADING, ".grading"),
+        **dict.fromkeys(["Ambient", "TwistVector", "normalize_twist"], ".diagonals"),
+        **modiag._LAZY,
+    }
+    assert sorted(homes) == PUBLIC
+    for name, home in homes.items():
+        assert getattr(modiag, name) is getattr(importlib.import_module(home, "modiag"), name), name
+
+
+@pytest.mark.parametrize(
+    "name,loaded",
+    [("Rational", ["modiag.exact"]), ("pullback", ["modiag.cycles", "modiag.exact", "modiag.cohomology"])],
+)
+def test_first_use_loads_the_home_module(name, loaded):
+    modules = ORACLE[:3]
+    code = f"import sys, modiag; modiag.{name}; print([n for n in {modules!r} if n in sys.modules])"
+    proc = _run_child("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, f"{loaded!r}\n"), proc.stderr
+
+
+def test_star_import_binds_every_public_name():
+    ns: dict = {}
+    exec("from modiag import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == PUBLIC
+
+
+def test_dir_lists_every_public_name_and_unknown_names_raise():
+    assert set(PUBLIC) | {"__all__", "__version__"} <= set(dir(modiag))
+    with pytest.raises(AttributeError, match="nope"):
+        modiag.nope
+
+
+def test_reading_a_lazy_name_caches_nothing_in_the_package():
+    # A tracer patches and restores vars(modiag); a lazy name cached there
+    # while it is installed would outlive its restore.  A fresh interpreter,
+    # where no earlier test has read a lazy name.
+    code = (
+        "import modiag, modiag.cohomology; before = dict(vars(modiag));"
+        " [getattr(modiag, name) for name in modiag._LAZY]; print(vars(modiag) == before)"
+    )
+    proc = _run_child("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def _fstrings(path: Path):
