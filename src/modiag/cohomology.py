@@ -109,12 +109,7 @@ class LinearMap(_Record):
     ``gen_position``.
     """
 
-    def __init__(
-        self, kind: str, source_blocks: int, target_blocks: int, data: tuple[int, ...]
-    ) -> None:
-        self.__dict__.update(
-            kind=kind, source_blocks=source_blocks, target_blocks=target_blocks, data=data
-        )
+    __match_args__ = ("kind", "source_blocks", "target_blocks", "data")
 
 
 def diagonal_map(v) -> LinearMap:

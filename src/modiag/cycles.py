@@ -32,8 +32,7 @@ class _Combination(_Record):
     ``ExtClass``: an ambient, and ``terms`` mapping basis keys (twist
     vectors, or monomial bitmasks) to nonzero exact coefficients."""
 
-    def __init__(self, ambient: Ambient, terms: dict) -> None:
-        self.__dict__.update(ambient=ambient, terms=terms)
+    __match_args__ = ("ambient", "terms")
 
     @property
     def is_zero(self) -> bool:

@@ -242,23 +242,7 @@ class PigeonholeOutcome(_Record):
     survivor, which for m = 2g is the unique one (2g-1, ..., 2g-1).
     """
 
-    def __init__(
-        self,
-        g: int,
-        m: int,
-        weight: int,
-        complement_total: int,
-        holds: bool,
-        counterexample: MultiDegree | None,
-    ) -> None:
-        self.__dict__.update(
-            g=g,
-            m=m,
-            weight=weight,
-            complement_total=complement_total,
-            holds=holds,
-            counterexample=counterexample,
-        )
+    __match_args__ = ("g", "m", "weight", "complement_total", "holds", "counterexample")
 
 
 def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
@@ -271,26 +255,18 @@ def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
 
 
 class Step(_Record):
-    def __init__(
-        self, id: str, kind: str, statement: str, reference: str, status: str, witness: dict
-    ) -> None:
-        self.__dict__.update(
-            id=id, kind=kind, statement=statement, reference=reference, status=status, witness=witness
-        )
+    __match_args__ = ("id", "kind", "statement", "reference", "status", "witness")
 
 
 class Certificate(_Record):
-    def __init__(
-        self, schema_version: str, g: int, m: int, steps: tuple[Step, ...], result: str
-    ) -> None:
-        self.__dict__.update(schema_version=schema_version, g=g, m=m, steps=steps, result=result)
+    __match_args__ = ("schema_version", "g", "m", "steps", "result")
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """Deterministic JSON of the record fields, in constructor order, which
-    is the key order, written directly by ``_to_json``.  The text is byte for
-    byte ``json.dumps(cert, default=vars, indent=2) + "\\n"``, which the
-    tests keep as the oracle; that form runs the standard library's
+    """Deterministic JSON of the record fields, in ``__match_args__`` order,
+    which is the key order, written directly by ``_to_json``.  The text is
+    byte for byte ``json.dumps(cert, default=vars, indent=2) + "\\n"``, which
+    the tests keep as the oracle; that form runs the standard library's
     pure-Python encoder, because ``indent`` turns its C encoder off."""
     return _to_json(cert, "\n") + "\n"
 
@@ -362,15 +338,15 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         verified = all(normalize_twist([n * x for x in shape], ambient) == (factor, shape) for shape, ambient in shapes)
         checks.append({"n": n, "factor": factor, "verified": verified})
     mult_step = Step(
-        id="mult-eigenvalue",
-        kind=FORMAL_IDENTITY,
-        statement=(
+        "mult-eigenvalue",
+        FORMAL_IDENTITY,
+        (
             f"pushforward along multiplication by n scales the modified diagonal"
             f" through the zero section by n^{2 * g}, for each sampled n"
         ),
-        reference="multiplication by n on a g-dimensional abelian variety is finite flat of degree n^(2g)",
-        status=PASS if all(c["verified"] for c in checks) else FAIL,
-        witness={"checks": checks},
+        "multiplication by n on a g-dimensional abelian variety is finite flat of degree n^(2g)",
+        PASS if all(c["verified"] for c in checks) else FAIL,
+        {"checks": checks},
     )
     # a contraction folds Gamma(m) = sum_k a_k O_k into sum_k (a_k + a_(k+1)) O_k,
     # k = 1..m-1, which is no sum at all at m = 1
@@ -383,12 +359,12 @@ def _formal_steps(g: int, m: int, mult_sample) -> list[Step]:
         contractions = []
         statement = "no factor can be contracted at m = 1; the identity holds vacuously"
     contraction_step = Step(
-        id="contraction-vanishing",
-        kind=FORMAL_IDENTITY,
-        statement=statement,
-        reference="terms pair off under I <-> I plus the contracted factor; the leftover singleton collapses to a point",
-        status=PASS if vanishes else FAIL,
-        witness={"checks": contractions},
+        "contraction-vanishing",
+        FORMAL_IDENTITY,
+        statement,
+        "terms pair off under I <-> I plus the contracted factor; the leftover singleton collapses to a point",
+        PASS if vanishes else FAIL,
+        {"checks": contractions},
     )
     return [mult_step, contraction_step]
 
@@ -399,20 +375,20 @@ def _grading_steps(g: int, m: int) -> list[Step]:
     top_text, m_text, nu_text = map(_int_repr, (2 * g, m, nu))
     steps = [
         Step(
-            id="motivic-decomposition",
-            kind=AXIOM,
-            statement=(
+            "motivic-decomposition",
+            AXIOM,
+            (
                 "the rational motive of an abelian scheme splits into weight pieces"
                 f" h^i, i = 0..{top_text}, with multiplication-by-n pushforward acting"
                 " on h^i by n^(2g-i), and products decompose by Kunneth profile"
                 " with projections an isomorphism on the top piece"
             ),
-            reference=(
+            (
                 "C. Deninger, J. Murre, J. reine angew. Math. 422 (1991) 201-219;"
                 " A. Beauville, Math. Ann. 273 (1986) 647-651"
             ),
-            status=ASSUMED,
-            witness={
+            ASSUMED,
+            {
                 "imported": True,
                 "base_point_note": (
                     "all diagonals pass through the zero section; translation by"
@@ -423,15 +399,15 @@ def _grading_steps(g: int, m: int) -> list[Step]:
     ]
     steps.append(
         Step(
-            id="eigenweight",
-            kind=EIGENWEIGHT,
-            statement=(
+            "eigenweight",
+            EIGENWEIGHT,
+            (
                 f"the pushforward eigen-exponent {top_text} pins the modified diagonal"
                 f" to total weight {nu_text} = 2g(m-1)"
             ),
-            reference="eigen-exponent w on total weight nu satisfies w = 2gm - nu",
-            status=PASS if nu == 2 * g * (m - 1) else FAIL,
-            witness={"pushforward_exponent": 2 * g, "weight": nu},
+            "eigen-exponent w on total weight nu satisfies w = 2gm - nu",
+            PASS if nu == 2 * g * (m - 1) else FAIL,
+            {"pushforward_exponent": 2 * g, "weight": nu},
         )
     )
 

@@ -62,8 +62,8 @@ def child_env() -> dict:
 
 def json_oracle(cert) -> str:
     """The oracle for ``certificate_to_json``: the standard library's
-    indented encoder, reading the record fields, in constructor order,
-    with ``vars``."""
+    indented encoder, reading the record fields, in ``__match_args__``
+    order, with ``vars``."""
     return json.dumps(cert, default=vars, indent=2) + "\n"
 
 

@@ -143,6 +143,31 @@ def test_each_input_refusal_is_written_once():
     assert [fn for fn, text in _fstrings(src / "cli.py") if "must be >= 1" in text] == ["main"]
 
 
+def test_each_record_names_its_fields_once():
+    """Every record class reads its fields from a ``__match_args__`` that it,
+    or a base below ``_Record``, declares, and only ``_Record`` and the
+    validating ``Ambient`` define ``__init__``: no constructor restates a
+    field list."""
+    src = Path(modiag.__file__).parent
+    classes = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                names = {getattr(t, "id", None) for s in node.body if isinstance(s, ast.Assign) for t in s.targets}
+                names |= {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+                classes[node.name] = ([ast.unparse(base) for base in node.bases], names)
+
+    def lineage(name):  # the class and each of its bases defined in the package
+        bases = classes[name][0] if name in classes else []
+        return [name] + [c for base in bases for c in lineage(base)]
+
+    records = [name for name in classes if "_Record" in lineage(name)[1:]]
+    assert {"Ambient", "FormalCycle", "LinearMap", "ExtClass", "PigeonholeOutcome", "Step", "Certificate"} <= set(records)
+    for name in records:
+        assert any("__match_args__" in classes[c][1] for c in lineage(name) if c != "_Record"), name
+    assert sorted(name for name, (_, names) in classes.items() if "__init__" in names) == ["Ambient", "_Record"]
+
+
 def _is_main_guard(node) -> bool:
     test = getattr(node, "test", None)
     return (

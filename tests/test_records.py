@@ -2,8 +2,9 @@
 
 Each record below has a ``@dataclass(frozen=True)`` twin of the same name
 and fields.  Built from the same field values, record and twin must agree
-on ``repr``, field order, equality, hashing and the refusal to assign or
-delete a field.
+on ``repr``, field order, ``__match_args__`` and positional ``match``
+patterns, equality, hashing, the refusal to assign or delete a field, and
+the arguments their constructors refuse.
 """
 
 import copy
@@ -124,6 +125,61 @@ def test_repr_and_field_order_match_the_dataclass(record):
     twin = _twin(record)
     assert repr(record) == repr(twin)
     assert list(vars(record)) == [f.name for f in fields(twin)] == list(vars(twin))
+    assert type(record).__match_args__ == type(twin).__match_args__
+
+
+def _match(obj, n: int):
+    """The values a pattern of obj's class with n positional sub-patterns
+    binds on obj; one with more sub-patterns than ``__match_args__`` names
+    raises TypeError."""
+    names = ", ".join(f"f{i}" for i in range(n))
+    source = f"match obj:\n case cls({names}):\n  bound = [{names}]\n"
+    namespace = {"obj": obj, "cls": type(obj)}
+    exec(source, namespace)
+    return namespace["bound"]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_positional_match_binds_what_the_dataclass_binds(record):
+    twin, n = _twin(record), len(vars(record))
+    assert _match(record, n) == _match(twin, n) == list(vars(record).values())
+    assert _match(record, 1) == _match(twin, 1) == list(vars(record).values())[:1]
+    for obj in (record, twin):
+        with pytest.raises(TypeError):
+            _match(obj, n + 1)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_positional_keyword_and_mixed_builds_agree(record):
+    cls, names, values = type(record), list(vars(record)), list(vars(record).values())
+    half = len(values) // 2
+    builds = [
+        cls(*values),
+        cls(**vars(record)),
+        cls(**dict(reversed(vars(record).items()))),
+        cls(*values[:half], **dict(zip(names[half:], values[half:]))),
+    ]
+    for built in builds:
+        assert built == record and list(vars(built)) == names
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_constructor_refusals_match_the_dataclass(record):
+    fields_ = vars(record)
+    names, values = list(fields_), list(fields_.values())
+    calls = {
+        "missing-last": (values[:-1], {}),
+        "missing-first": ((), dict(zip(names[1:], values[1:]))),
+        "unknown": (values, {"not_a_field": 0}),
+        "doubled": (values, {names[0]: values[0]}),
+        "doubled-by-keyword-after-position": (values[:1], fields_),
+        "one-positional-too-many": ([*values, 0], {}),
+    }
+    for cls in (type(record), type(_twin(record))):
+        for what, (args, kwargs) in calls.items():
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+                pytest.fail(f"{cls.__qualname__} accepted a call with {what} fields")
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
