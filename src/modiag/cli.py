@@ -3,6 +3,14 @@
 Both commands only render certificates from ``replay_proof``; a survey row
 is a summary of the all-layer certificate for its power.
 
+Each subcommand's flags are written once, in ``_COMMANDS``.  A plain command
+line, a subcommand and then whole ``--flag value`` pairs with exact flag
+names, is read from that table without importing argparse and the gettext
+and locale modules it loads, about 5 ms of each command's start-up.  Help,
+every other spelling (``--flag=value``, abbreviations, repeats, negative
+numbers) and every usage error go through the argparse parser built from
+the same table, unchanged.
+
 Exit codes: 0 success (including the reported-survivors regime m <= 2g),
 1 verification failure, 2 usage or resource errors: the certificate's
 cohomology-shadow step was SKIPPED by --max-dim, or the --out path cannot
@@ -11,8 +19,8 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .grading import (
     DEFAULT_LAYERS,
@@ -29,7 +37,44 @@ from .grading import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line and flags, written once: build_parser passes
+# each flag's entries to argparse's add_argument, and _parse_plain reads a
+# plain command line from the same entries.
+_COMMON = {
+    "--genus": {"type": int, "required": True, "help": "dimension g of the abelian variety (>= 1)"},
+    "--max-dim": {
+        "type": int,
+        "default": DEFAULT_MAX_DIM,
+        "help": (
+            "refuse the cohomology shadow when its graded dimension C(2gm, 2g)"
+            " reaches this bound; the dimension is not the shadow's work"
+        ),
+    },
+}
+_COMMANDS = {
+    "verify": (
+        "replay the vanishing argument for one (g, m)",
+        {
+            **_COMMON,
+            "--power": {"type": int, "required": True, "help": "number of factors m (>= 1)"},
+            "--layers": {
+                "default": ",".join(DEFAULT_LAYERS),
+                "help": f"comma-separated subset of {','.join(LAYERS)} (default: %(default)s)",
+            },
+            "--format": {"choices": ("json", "text"), "default": "json"},
+            "--out": {"help": "write the certificate here instead of stdout"},
+        },
+    ),
+    "survey": (
+        "one row per m = 1..M summarizing every layer",
+        {**_COMMON, "--power-max": {"type": int, "required": True}},
+    ),
+}
+
+
+def build_parser():
+    import argparse  # help, errors and every command line that is not plain
+
     parser = argparse.ArgumentParser(
         prog="modiag",
         description=(
@@ -38,37 +83,50 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--genus", type=int, required=True, help="dimension g of the abelian variety (>= 1)")
-    common.add_argument(
-        "--max-dim",
-        type=int,
-        default=DEFAULT_MAX_DIM,
-        help=(
-            "refuse the cohomology shadow when its graded dimension C(2gm, 2g)"
-            " reaches this bound; the dimension is not the shadow's work"
-        ),
-    )
-
-    verify = sub.add_parser("verify", parents=[common], help="replay the vanishing argument for one (g, m)")
-    verify.add_argument("--power", type=int, required=True, help="number of factors m (>= 1)")
-    verify.add_argument(
-        "--layers",
-        default=",".join(DEFAULT_LAYERS),
-        help=f"comma-separated subset of {','.join(LAYERS)} (default: %(default)s)",
-    )
-    verify.add_argument("--format", choices=("json", "text"), default="json")
-    verify.add_argument("--out", help="write the certificate here instead of stdout")
-
-    survey = sub.add_parser("survey", parents=[common], help="one row per m = 1..M summarizing every layer")
-    survey.add_argument("--power-max", type=int, required=True)
+    for command, (summary, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag, entries in flags.items():
+            command_parser.add_argument(flag, **entries)
     return parser
 
 
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _parse_plain(argv):
+    """The namespace argparse returns for a plain command line, else None.
+
+    A command line is plain when it names a subcommand and then gives whole
+    ``--flag value`` pairs: each flag by its exact name and at most once,
+    every required flag present, no value starting with ``-``, each int
+    value read by ``int`` and each value inside its choices.  Anything else
+    goes to argparse, which alone writes help and errors.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or not given.keys() <= flags.keys():
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, entries in flags.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if entries.get("required"):
+                return None
+            setattr(args, dest, entries.get("default"))
+            continue
+        text = given[flag]
+        if text.startswith("-") or ("choices" in entries and text not in entries["choices"]):
+            return None
+        try:
+            setattr(args, dest, entries.get("type", str)(text))
+        except ValueError:
+            return None
+    return args
+
+
+def cmd_verify(args) -> int:
     layers = [name for name in map(str.strip, args.layers.split(",")) if name]
     if not layers or any(name not in LAYERS for name in layers):
-        parser.error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
+        build_parser().error(f"--layers must be a nonempty subset of {','.join(LAYERS)}")
     cert = replay_proof(args.genus, args.power, layers=layers, max_dim=args.max_dim)
     for s in cert.steps:
         if s.id == "cohomology-shadow" and s.status == SKIPPED:
@@ -136,11 +194,11 @@ def cmd_survey(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     for flag in ("genus", "power", "power_max"):  # survey has no --power, verify no --power-max
         if (value := getattr(args, flag, 1)) < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+            build_parser().error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     if args.command == "verify":
-        return cmd_verify(args, parser)
+        return cmd_verify(args)
     return cmd_survey(args)

@@ -1,14 +1,18 @@
 import ast
 import itertools
 import json
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from helpers import child_env, digit_limit
+from test_workflow import WORKFLOW, run_scripts
 from modiag import certificate_to_json, certificate_to_text, cli, diagonals, grading, replay_proof
 from modiag.cli import main
 
@@ -343,6 +347,146 @@ def test_module_entry_point_runs():
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["survey", "--help"]])
+def test_help_comes_from_argparse(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: modiag", *argv[:-1]]) + " [-h]"), out
+
+
+def _agrees_with_argparse(argv):
+    """Whether argv takes the plain path; if it does, argparse reads the same
+    namespace from it and does not refuse it."""
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses the plain command line {argv}")
+        assert vars(plain) == vars(parsed), argv
+    return plain is not None
+
+
+# The flags of each subcommand, with values a plain command line may give
+# them; int() reads " 3", "1_0", "٣" and "+2", as argparse's type=int does.
+INTS = ("1", "2", "3", "12", " 3", "1_0", "\u0663", "+2")
+FLAGS = {
+    "verify": {
+        "--genus": INTS,
+        "--max-dim": INTS,
+        "--power": INTS,
+        "--layers": ("formal", "grading,cohomology", "", " formal , grading"),
+        "--format": ("json", "text"),
+        "--out": ("cert.json", "a dir/cert.txt"),
+    },
+    "survey": {"--genus": INTS, "--max-dim": INTS, "--power-max": INTS},
+}
+# Values that start with "-", are empty, do not convert or are outside their
+# choices; flags that are abbreviations, the other subcommand's or unknown;
+# and tokens that are no pair.  Only argparse reads a command line with one.
+ODD_VALUES = ("-1", "-x", "", "x", "--", "-", "xml", "0", "--genus", "-h")
+ODD_FLAGS = ("--gen", "--power", "--power-m", "--max", "--lay", "--form", "--o", "--power-max", "--layers", "--bogus")
+LONE_TOKENS = ("-h", "--help", "-1", "", "--", "extra", "verify")
+
+
+@st.composite
+def command_lines(draw):
+    """A plain command line, then up to three edits: a pair left out, given
+    an odd value, repeated, misnamed or written as ``--flag=value``, or a
+    lone token put anywhere."""
+    command = draw(st.sampled_from(("verify", "survey", "verify", "survey", "-h", "bogus", "")))
+    flags = FLAGS.get(command, FLAGS["verify"])
+    pairs = [[flag, draw(st.sampled_from(flags[flag]))] for flag in draw(st.permutations(list(flags)))]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "value", "value", "repeat", "misname", "join", "lone")))
+        i = draw(st.integers(0, len(pairs)))
+        if edit == "lone":
+            pairs.insert(i, [draw(st.sampled_from(LONE_TOKENS))])
+        elif i == len(pairs) or len(pairs[i]) != 2:
+            continue
+        elif edit == "drop":
+            del pairs[i]
+        elif edit == "value":
+            pairs[i][1] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == "repeat":
+            flag = pairs[i][0]
+            value = draw(st.sampled_from(flags.get(flag, ()) + ODD_VALUES))
+            pairs.insert(draw(st.integers(0, len(pairs))), [flag, value])
+        elif edit == "misname":
+            pairs[i][0] = draw(st.sampled_from(ODD_FLAGS))
+        else:
+            pairs[i] = ["=".join(pairs[i])]
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+def test_plain_path_agrees_with_argparse(argv):
+    # Run with --hypothesis-show-statistics for the share each side takes.
+    event("plain path" if _agrees_with_argparse(argv) else "argparse")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--genus=1", "--power", "3"],
+        ["survey", "--genus", "1", "--power", "5"],
+        ["verify", "--genus", "1", "--power", "3", "--genus", "2"],
+        ["verify", "--genus", "x", "--power", "3", "--genus", "2"],
+        ["verify", "--genus", "-1", "--power", "3"],
+        ["verify", "--genus", "1", "--power", "3", "--layers", "-x"],
+        ["verify", "--genus", "", "--power", "3"],
+        ["verify", "--genus", "1", "--power", "3", "--format", "xml"],
+        ["verify", "--genus", "1"],
+        ["verify", "--genus", "1", "--power", "3", "extra"],
+        ["verify", "--genus", "1", "--power", "3", "-h"],
+        ["--help"],
+        [],
+    ],
+)
+def test_argparse_only_forms_leave_the_plain_path(argv):
+    assert cli._parse_plain(argv) is None
+
+
+# The benchmark's command-line workload, copied here so that a change to it
+# does not silently change what this test checks.
+BENCHMARK_COMMANDS = [
+    ["verify", "--genus", "1", "--power", "12"],
+    ["verify", "--genus", "2", "--power", "4", "--format", "text"],
+    ["verify", "--genus", "2", "--power", "5", "--layers", "formal,grading,cohomology"],
+    ["verify", "--genus", "3", "--power", "7", "--layers", "cohomology", "--max-dim", "1000"],
+    ["survey", "--genus", "2", "--power-max", "5"],
+    ["survey", "--genus", "1", "--power-max", "9"],
+]
+
+
+def _workflow_command_lines():
+    """The arguments of each ``modiag`` call in the workflow, up to the first
+    pipe or redirection."""
+    out = []
+    for script in run_scripts(WORKFLOW.read_text()):
+        for line in script.splitlines():
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            tokens = list(lexer)
+            if "modiag" in tokens:
+                argv = tokens[tokens.index("modiag") + 1 :]
+                ends = [i for i, token in enumerate(argv) if not token.strip("();<>|&")]
+                out.append(argv[: ends[0]] if ends else argv)
+    return out
+
+
+def test_benchmark_and_workflow_commands_take_the_plain_path():
+    assert all(_agrees_with_argparse(argv) for argv in BENCHMARK_COMMANDS)
+    lines = _workflow_command_lines()
+    assert len(lines) > 10
+    # The workflow spells two commands in forms argparse alone reads.
+    assert [argv for argv in lines if not _agrees_with_argparse(argv)] == [
+        ["verify", "--genus=2", "--power=5", "--layers=formal,grading,cohomology"],
+        ["survey", "--gen", "2", "--power", "5"],
+    ]
 
 
 def _imports(module) -> list[tuple[str, list[str]]]:
