@@ -89,8 +89,9 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .cycles import FormalCycle, _Combination, _common_ambient, twist_cycle
+from .cycles import cycle_add as ext_add, cycle_scale as ext_scale
 from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _live_images, _Record, _require_in
-from .exact import _add_term, _map_terms, combo, combo_add, combo_scale, render_terms
+from .exact import _add_term, _map_terms, combo, render_terms
 
 
 class LinearMap(_Record):
@@ -215,14 +216,6 @@ def _merge_sign(a: int, b: int) -> int:
     while step < a.bit_length():
         below, step = below ^ below << step, step << 1
     return -1 if (a & below).bit_count() & 1 else 1
-
-
-def ext_add(a: ExtClass, b: ExtClass) -> ExtClass:
-    return ExtClass(_common_ambient(a, b), combo_add(a.terms, b.terms))
-
-
-def ext_scale(a: ExtClass, c) -> ExtClass:
-    return ExtClass(a.ambient, combo_scale(a.terms, c))
 
 
 def wedge(a: ExtClass, b: ExtClass) -> ExtClass:

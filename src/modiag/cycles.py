@@ -30,7 +30,8 @@ def _common_ambient(a, b) -> Ambient:
 class _Combination(_Record):
     """Base of the two combination records, ``FormalCycle`` and
     ``ExtClass``: an ambient, and ``terms`` mapping basis keys (twist
-    vectors, or monomial bitmasks) to nonzero exact coefficients."""
+    vectors, or monomial bitmasks) to nonzero exact coefficients.  Both
+    records share one sum, ``cycle_add``, and one scale, ``cycle_scale``."""
 
     __match_args__ = ("ambient", "terms")
 
@@ -143,12 +144,16 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
     )
 
 
-def cycle_add(a: FormalCycle, b: FormalCycle) -> FormalCycle:
-    return FormalCycle(_common_ambient(a, b), combo_add(a.terms, b.terms))
+def cycle_add(a: _Combination, b: _Combination) -> _Combination:
+    """The sum of two cycles, or of two classes, of one ambient; it is
+    ``cohomology.ext_add`` too."""
+    return type(a)(_common_ambient(a, b), combo_add(a.terms, b.terms))
 
 
-def cycle_scale(c: FormalCycle, coeff) -> FormalCycle:
-    return FormalCycle(c.ambient, combo_scale(c.terms, coeff))
+def cycle_scale(c: _Combination, coeff) -> _Combination:
+    """A cycle or a class times an exact scalar, by ``combo_scale``'s rule;
+    it is ``cohomology.ext_scale`` too."""
+    return type(c)(c.ambient, combo_scale(c.terms, coeff))
 
 
 def cycle_equal(a: FormalCycle, b: FormalCycle) -> bool:

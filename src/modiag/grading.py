@@ -247,11 +247,9 @@ class PigeonholeOutcome(_Record):
 
 def prove_empty_pigeonhole(g: int, m: int) -> PigeonholeOutcome:
     Ambient(g, m)
-    weight = 2 * g * (m - 1)
-    if m >= 2 * g + 1:
-        return PigeonholeOutcome(g, m, weight, 2 * g, True, None)
-    cex = (m - 1,) + (2 * g - 1,) * (m - 1)
-    return PigeonholeOutcome(g, m, weight, 2 * g, False, cex)
+    holds = m >= 2 * g + 1
+    cex = None if holds else (m - 1,) + (2 * g - 1,) * (m - 1)
+    return PigeonholeOutcome(g, m, 2 * g * (m - 1), 2 * g, holds, cex)
 
 
 class Step(_Record):
@@ -557,18 +555,19 @@ def replay_proof(
     counterexample and an explicit no-claim note, so the certificate never
     asserts a vanishing the argument does not give.  Resource-bound
     overruns surface as SKIPPED steps, never as silent truncation.
-    ``max_dim``, the shadow's bound, follows ``_as_int``: a bool, float or
-    string raises TypeError.
+    Every bad ``mult_sample`` raises ValueError: one that is empty or not
+    iterable, or holds a zero, a bool or a non-integer.  ``max_dim``, the
+    shadow's bound, follows ``_as_int``: a bool, float or string raises
+    TypeError.
     """
     Ambient(g, m)  # rejects non-integers, bools and values below 1
     layer_set = set(layers)
     unknown = layer_set - set(LAYERS)
     if unknown or not layer_set:
         raise ValueError(f"layers must be a nonempty subset of {LAYERS}")
-    sample = tuple(mult_sample)
     try:
-        sample = _as_ints(sample)
-    except TypeError:  # a bool or a non-integer
+        sample = _as_ints(mult_sample)
+    except TypeError:  # not iterable, or a bool or a non-integer in it
         sample = ()
     if not sample or 0 in sample:
         raise ValueError("the multiplication sample must be nonzero integers")

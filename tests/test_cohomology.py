@@ -18,6 +18,8 @@ from helpers import (
 )
 from modiag import (
     Ambient,
+    ExtClass,
+    FormalCycle,
     LinearMap,
     admissible_degrees,
     block_profile,
@@ -329,6 +331,14 @@ def test_class_of_cycle_is_linear():
         k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         assert class_of_cycle(cycle_add(a, b)) == ext_add(class_of_cycle(a), class_of_cycle(b))
         assert class_of_cycle(cycle_scale(a, k)) == ext_scale(class_of_cycle(a), k)
+        # The one sum and scale keep the record type.
+        cls = class_of_cycle(a)
+        assert type(cycle_add(a, b)) is type(cycle_scale(a, k)) is FormalCycle
+        assert type(ext_add(cls, cls)) is type(ext_scale(cls, k)) is ExtClass
+    # An int scalar keeps int coefficients, by combo_scale's rule.
+    for record in (FormalCycle(E1, {(1,): 2}), ExtClass(E1, {0: 2})):
+        scaled = cycle_scale(record, 3)
+        assert type(scaled) is type(record) and [(type(c), c) for c in scaled.terms.values()] == [(int, 6)]
 
 
 def test_block_profile_and_kunneth_component():

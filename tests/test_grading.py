@@ -710,8 +710,10 @@ def test_replay_proof_input_validation():
         replay_proof(1, 2, layers=("formal", "nonsense"))
     with pytest.raises(ValueError):
         replay_proof(1, 2, layers=())
-    with pytest.raises(ValueError):
-        replay_proof(1, 2, mult_sample=(2, 0))
+    # A sample that is not iterable gets the same refusal as a zero in one.
+    for sample in ((2, 0), 3, None):
+        with pytest.raises(ValueError, match="must be nonzero integers"):
+            replay_proof(1, 2, mult_sample=sample)
 
 
 @pytest.mark.parametrize("bad", [True, 5.0, float("nan"), "5"], ids=repr)

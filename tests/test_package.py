@@ -100,6 +100,8 @@ def test_each_public_name_is_its_home_module_binding():
     assert sorted(homes) == PUBLIC
     for name, home in homes.items():
         assert getattr(modiag, name) is getattr(importlib.import_module(home, "modiag"), name), name
+    # Cycles and classes share one sum and one scale.
+    assert modiag.ext_add is modiag.cycle_add and modiag.ext_scale is modiag.cycle_scale
 
 
 @pytest.mark.parametrize(
