@@ -11,10 +11,11 @@ every other spelling (``--flag=value``, abbreviations, repeats, negative
 numbers) and every usage error go through the argparse parser built from
 the same table, unchanged.
 
-Exit codes: 0 success (including the reported-survivors regime m <= 2g),
-1 verification failure, 2 usage or resource errors: the certificate's
-cohomology-shadow step was SKIPPED by --max-dim, or the --out path cannot
-be written.
+Exit codes: 1 when a certificate's claim, as ``grading.claim`` reads it,
+is "failed"; 0 when it is "vanishing" or "no claim", which includes the
+reported-survivors regime m <= 2g; 2 on usage or resource errors: the
+certificate's cohomology-shadow step was SKIPPED by --max-dim, or the
+--out path cannot be written.  The claim rule lives in ``grading`` alone.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from types import SimpleNamespace
 from .grading import (
     DEFAULT_LAYERS,
     DEFAULT_MAX_DIM,
-    FAIL,
     FORMAL_IDENTITY,
     LAYERS,
     PASS,
-    PIGEONHOLE,
     SKIPPED,
     certificate_to_json,
     certificate_to_text,
+    claim,
+    int_repr,
     replay_proof,
 )
 
@@ -130,11 +131,9 @@ def cmd_verify(args) -> int:
     cert = replay_proof(args.genus, args.power, layers=layers, max_dim=args.max_dim)
     for s in cert.steps:
         if s.id == "cohomology-shadow" and s.status == SKIPPED:
-            from decimal import Decimal  # writes a dimension past the int-to-text digit limit
-
             print(
                 f"error: the cohomology layer at g={cert.g} m={cert.m} needs a graded piece of"
-                f" dimension {Decimal(s.witness['graded_dimension'])}, at or above the bound"
+                f" dimension {int_repr(s.witness['graded_dimension'])}, at or above the bound"
                 f" {s.witness['max_dim']}; raise --max-dim or drop the layer",
                 file=sys.stderr,
             )
@@ -150,23 +149,11 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(payload)
 
-    return 0 if _accepted(cert) else 1
+    return 1 if claim(cert) == "failed" else 0
 
 
-def _accepted(cert) -> bool:
-    """The exit-code rule shared by verify and survey.
-
-    For m <= 2g the pigeonhole step fails by design: survivors are reported
-    and no vanishing is claimed.  Anything else failing is a genuine
-    verification failure.
-    """
-    return all(s.status != FAIL or (s.kind == PIGEONHOLE and cert.m <= 2 * cert.g) for s in cert.steps)
-
-
-def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
-    """The survey line for power m, and whether its certificate is accepted."""
-    from decimal import Decimal  # writes a count past the int-to-text digit limit
-
+def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, str]:
+    """The survey line for power m, and its certificate's claim."""
     cert = replay_proof(g, m, layers=LAYERS, max_dim=max_dim)
     steps = {s.id: s for s in cert.steps}
     formal = "pass" if all(s.status == PASS for s in cert.steps if s.kind == FORMAL_IDENTITY) else "FAIL"
@@ -177,7 +164,7 @@ def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, bool]:
     else:
         cohomology = "zero" if shadow.witness["is_zero"] else "nonzero"
     prediction = "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)"
-    return f"{m:>3}  {formal:<7}{Decimal(survivors):>10}  {cohomology:<11}{prediction}", _accepted(cert)
+    return f"{m:>3}  {formal:<7}{int_repr(survivors):>10}  {cohomology:<11}{prediction}", claim(cert)
 
 
 def cmd_survey(args) -> int:
@@ -190,7 +177,7 @@ def cmd_survey(args) -> int:
         *(line for line, _ in rows),
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all(accepted for _, accepted in rows) else 1
+    return 1 if any(verdict == "failed" for _, verdict in rows) else 0
 
 
 def main(argv=None) -> int:

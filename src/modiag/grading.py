@@ -52,19 +52,27 @@ certificate with one step per move:
 
 For m <= 2g the pigeonhole step reports its counterexample and the
 certificate makes no claim about vanishing; nothing is overstated in
-either direction.  Certificates serialize to deterministic JSON, byte
+either direction.  ``claim`` is the one rule that reads a certificate's
+verdict: "vanishing", "no claim" or "failed"; the command line exits 1
+exactly on "failed".  Certificates serialize to deterministic JSON, byte
 identical for identical inputs.
 """
 
 from __future__ import annotations
 
+# The C string escaping that json.encoder re-exports; taken from _json, it
+# loads no module of the json package.
+from _json import encode_basestring_ascii as _quote
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from operator import add
 
 from .diagonals import Ambient, _as_int, _as_ints, _int_repr, _live_images, _orbit_signs, _Record, _require_in, normalize_twist
+
+# The package's writer of an int, which goes through Decimal only past the
+# int-to-text digit limit; bound here for the command line.
+int_repr = _int_repr
 
 MultiDegree = tuple[int, ...]
 
@@ -583,3 +591,33 @@ def replay_proof(
 
     result = PASS if all(s.status != FAIL for s in steps) else FAIL
     return Certificate(SCHEMA_VERSION, g, m, tuple(steps), result)
+
+
+# The steps a vanishing claim rests on, each with the status it needs.
+_GROUNDS = {
+    "mult-eigenvalue": PASS,
+    "contraction-vanishing": PASS,
+    "motivic-decomposition": ASSUMED,
+    "eigenweight": PASS,
+    "kunneth-survivors": PASS,
+    "top-degree-pigeonhole": PASS,
+}
+
+
+def claim(cert: Certificate) -> str:
+    """What the certificate proves, the library's one reading of a verdict.
+
+    "failed" when a step FAILed, other than the pigeonhole at m <= 2g,
+    which fails by design there and reports its survivors.  "vanishing"
+    when no step FAILed, the pigeonhole and every step it rests on PASSed,
+    and the motivic decomposition is ASSUMED: the default layers at
+    m >= 2g+1, with or without the shadow.  "no claim" otherwise: m <= 2g,
+    or a layer the argument needs was left out.  A SKIPPED shadow does not
+    change the claim.
+    """
+    if any(s.status == FAIL and not (s.kind == PIGEONHOLE and cert.m <= 2 * cert.g) for s in cert.steps):
+        return "failed"
+    grounds = {s.id: s.status for s in cert.steps if s.id in _GROUNDS}
+    if grounds == _GROUNDS and FAIL not in (s.status for s in cert.steps):
+        return "vanishing"
+    return "no claim"

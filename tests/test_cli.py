@@ -489,6 +489,24 @@ def test_benchmark_and_workflow_commands_take_the_plain_path():
     ]
 
 
+def test_benchmark_commands_load_no_json_decimal_fractions_or_argparse():
+    # Each command is a fresh process.  json, loaded for one string escaping,
+    # took about 2 ms of its start-up, and decimal, for writing an int past
+    # the digit limit, about 2 ms more (Python 3.11, 2-core Xeon); the
+    # escaping comes from _json, and decimal and fractions load only past
+    # the limit.  -S keeps site-packages from loading any of them.
+    code = (
+        "import io, sys\nfrom modiag.cli import main\ncodes = []\n"
+        f"for argv in {BENCHMARK_COMMANDS!r}:\n"
+        "    sys.stdout = sys.stderr = io.StringIO()\n"
+        "    codes.append(main(argv))\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(codes, [n for n in ('json', 'decimal', 'fractions', 'argparse') if n in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 2, 0, 0] []\n"), proc.stderr
+
+
 def _imports(module) -> list[tuple[str, list[str]]]:
     """Each module that the source of ``module`` imports, with the names it
     takes from it (none for a plain ``import``)."""

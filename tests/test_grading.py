@@ -33,12 +33,14 @@ from modiag.grading import (
     FAIL,
     LAYERS,
     PASS,
+    PIGEONHOLE,
     SKIPPED,
     STEP_KINDS,
     SURVIVOR_LIST_CAP,
     Certificate,
     Step,
     _kunneth_survivors,
+    claim,
 )
 from modiag.diagonals import _Record
 
@@ -306,6 +308,55 @@ def test_replay_proof_small_m_reports_survivors_without_claiming():
     assert survivors.witness["survivors"] == [[1, 1]]
     # everything except the designed pigeonhole failure passed
     assert all(s.status != FAIL for s in cert.steps if s.kind != "PIGEONHOLE")
+
+
+def _accepted(cert) -> bool:
+    """The oracle for ``claim``: the exit-code rule the command line applied
+    itself before the rule moved into grading.  A pigeonhole FAIL is
+    accepted only at m <= 2g, where no vanishing is claimed."""
+    return all(s.status != FAIL or (s.kind == PIGEONHOLE and cert.m <= 2 * cert.g) for s in cert.steps)
+
+
+def _flipped(cert, step_id):
+    """The certificate with one step marked FAIL, as tests/test_cli.py
+    builds its failing copies."""
+    steps = tuple(type(s)(**{**vars(s), "status": FAIL}) if s.id == step_id else s for s in cert.steps)
+    return type(cert)(**{**vars(cert), "steps": steps, "result": FAIL})
+
+
+LAYER_SUBSETS = [c for k in range(1, 4) for c in itertools.combinations(LAYERS, k)]
+
+
+def test_claim_agrees_with_the_exit_code_rule():
+    assert len(LAYER_SUBSETS) == 7
+    for g in range(1, 5):
+        for m in range(1, 2 * g + 3):
+            for layers in LAYER_SUBSETS:
+                cert = replay_proof(g, m, layers=layers)
+                concludes = m >= 2 * g + 1 and {"formal", "grading"} <= set(layers)
+                assert claim(cert) == ("vanishing" if concludes else "no claim"), (g, m, layers)
+                for copy in (cert, *(_flipped(cert, s.id) for s in cert.steps)):
+                    assert (claim(copy) == "failed") == (not _accepted(copy)), (g, m, layers, copy.steps)
+                    assert claim(copy) != "vanishing" or copy is cert
+
+
+def test_claim_named_cases():
+    assert claim(replay_proof(1, 3)) == "vanishing"
+    assert claim(replay_proof(1, 3, layers=LAYERS)) == "vanishing"
+    assert claim(replay_proof(1, 3, layers=("grading",))) == "no claim"
+    assert claim(replay_proof(2, 4)) == "no claim"
+    assert claim(_flipped(replay_proof(1, 3), "contraction-vanishing")) == "failed"
+    # the pigeonhole fails by design at m <= 2g, and nowhere else
+    assert claim(_flipped(replay_proof(1, 2), "top-degree-pigeonhole")) == "no claim"
+    assert claim(_flipped(replay_proof(1, 3), "top-degree-pigeonhole")) == "failed"
+    # a skipped shadow leaves the claim to the layers that ran
+    skipped = replay_proof(1, 3, layers=LAYERS, max_dim=1)
+    assert skipped.steps[-1].status == SKIPPED
+    assert claim(skipped) == "vanishing"
+    # the axiom must be ASSUMED, never reported as computed: marked PASS, no claim
+    axiom = replay_proof(1, 3)
+    steps = tuple(type(s)(**{**vars(s), "status": PASS}) if s.status == ASSUMED else s for s in axiom.steps)
+    assert claim(type(axiom)(**{**vars(axiom), "steps": steps})) == "no claim"
 
 
 def test_replay_proof_is_byte_deterministic():
