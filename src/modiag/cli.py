@@ -1,7 +1,8 @@
 """Command line interface: verification certificates and survey tables.
 
 Both commands only render certificates from ``replay_proof``; a survey row
-is a summary of the all-layer certificate for its power.
+is a summary of the all-layer certificate for its power, and its prediction
+is that certificate's claim.
 
 Each subcommand's flags are written once, in ``_COMMANDS``.  A plain command
 line, a subcommand and then whole ``--flag value`` pairs with exact flag
@@ -152,6 +153,10 @@ def cmd_verify(args) -> int:
     return 1 if claim(cert) == "failed" else 0
 
 
+# The prediction column prints each row's claim, as ``grading.claim`` reads it.
+_PREDICTION = {"vanishing": "vanishes (m >= 2g+1)", "no claim": "no claim (m <= 2g)", "failed": "failed"}
+
+
 def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, str]:
     """The survey line for power m, and its certificate's claim."""
     cert = replay_proof(g, m, layers=LAYERS, max_dim=max_dim)
@@ -163,8 +168,8 @@ def _survey_row(g: int, m: int, max_dim: int) -> tuple[str, str]:
         cohomology = "SKIPPED"
     else:
         cohomology = "zero" if shadow.witness["is_zero"] else "nonzero"
-    prediction = "vanishes (m >= 2g+1)" if m >= 2 * g + 1 else "no claim (m <= 2g)"
-    return f"{m:>3}  {formal:<7}{int_repr(survivors):>10}  {cohomology:<11}{prediction}", claim(cert)
+    verdict = claim(cert)
+    return f"{m:>3}  {formal:<7}{int_repr(survivors):>10}  {cohomology:<11}{_PREDICTION[verdict]}", verdict
 
 
 def cmd_survey(args) -> int:

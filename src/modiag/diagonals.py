@@ -167,7 +167,7 @@ class Ambient(_Record):
 
     __match_args__ = ("g", "m")
 
-    # Stores directly, not through _Record.__init__: a certificate builds six
+    # Stores directly, not through _Record.__init__: a certificate builds five
     # Ambients, and the base's binding measured about +0.8 us each (Python
     # 3.11, 2-core Xeon).
     def __init__(self, g: int, m: int) -> None:

@@ -35,7 +35,8 @@ certificate with one step per move:
      by the rank of the last one.  The profiles with an entry 2g are
      counted in closed form, C(m, s) C(2g-1, s-1) of them with exactly s
      nonzero complements, and the certificate cross-checks the partition
-     against ``count_admissible(g, m, 2g(m-1))``.  The work is at most
+     against ``_count_bounded(m, 2g(m-1), 2g)``, the count of {0..2g}^m
+     that ``count_admissible`` returns.  The work is at most
      ``SURVIVOR_LIST_CAP`` tuples, min(m-1, 2g) big-int-by-small-int
      steps, two binomials, and the rank when the list is truncated;
   6. optionally, the exterior-algebra realization is read as an
@@ -418,7 +419,7 @@ def _grading_steps(g: int, m: int) -> list[Step]:
     )
 
     outcome = prove_empty_pigeonhole(g, m)
-    admissible_count = count_admissible(g, m, nu)
+    admissible_count = _count_bounded(m, nu, 2 * g)
     survivor_count = _count_bounded(m, nu, 2 * g - 1)
     missed, survivors = _kunneth_survivors(g, m)
     # Distinct survivors in increasing order, min(count, cap) of them, are

@@ -265,6 +265,8 @@ def test_survey_failure_exit_code_is_one(capsys, monkeypatch):
     assert code == 1
     rows = out.rstrip("\n").split("\n")[2:]
     assert [row.split()[1] for row in rows] == ["pass", "FAIL", "pass"]
+    # the failed row states no verdict the argument did not reach
+    assert rows[1].endswith("failed")
 
 
 def _fail_pigeonhole(g, m, **kwargs):
@@ -287,8 +289,9 @@ def test_pigeonhole_failure_past_the_threshold_exits_one(capsys, monkeypatch):
     assert (code, failed) == (1, ["top-degree-pigeonhole"])
     code, _, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "2")
     assert code == 0
-    code, _, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "3")
+    code, out, _ = run_cli(capsys, "survey", "--genus", "1", "--power-max", "3")
     assert code == 1
+    assert out.rstrip("\n").split("\n")[-1].endswith("failed")
 
 
 def test_survey_rows_and_determinism(capsys):
@@ -482,10 +485,12 @@ def test_benchmark_and_workflow_commands_take_the_plain_path():
     assert all(_agrees_with_argparse(argv) for argv in BENCHMARK_COMMANDS)
     lines = _workflow_command_lines()
     assert len(lines) > 10
-    # The workflow spells two commands in forms argparse alone reads.
+    # The workflow spells two commands in forms argparse alone reads, and
+    # asks argparse for help.
     assert [argv for argv in lines if not _agrees_with_argparse(argv)] == [
         ["verify", "--genus=2", "--power=5", "--layers=formal,grading,cohomology"],
         ["survey", "--gen", "2", "--power", "5"],
+        ["--help"],
     ]
 
 

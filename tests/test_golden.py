@@ -8,8 +8,14 @@ written by earlier code and is not regenerated unless CHANGES.md states a
 contract change, so any change to certificate or survey bytes shows up
 here.  ``json.dumps(indent=2)`` wrote them before certificates were written
 directly, and stays the writer's oracle in ``helpers.json_oracle``.
+
+``GRID_SHA256`` pins, in one digest, what every command of a wider grid
+writes and returns, so that a change meant to keep behaviour shows byte
+identity over the grid without a golden file per command.
 """
 
+import hashlib
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -96,3 +102,37 @@ def test_skipped_golden_skips_only_the_shadow():
     cert = replay_proof(**LIBRARY_GOLDEN["replay-g1-m3-skipped.json"])
     statuses = {s.id: s.status for s in cert.steps}
     assert [i for i, s in statuses.items() if s == "SKIPPED"] == ["cohomology-shadow"]
+
+
+def _grid():
+    """``verify`` at every g <= 4 and m <= 2g+2, with each nonempty layer
+    subset, in both formats; ``survey`` at each g <= 4 up to 2g+2, at the
+    default bound and at ``--max-dim 1``; and the two shadow refusals."""
+    subsets = [",".join(c) for size in (1, 2, 3) for c in combinations(LAYERS, size)]
+    for g in range(1, 5):
+        for m in range(1, 2 * g + 3):
+            for layers in subsets:
+                for fmt in ("json", "text"):
+                    yield _verify(g, m, "--format", fmt, layers=layers)
+    for g in range(1, 5):
+        survey = ("survey", "--genus", str(g), "--power-max", str(2 * g + 2))
+        yield survey
+        yield (*survey, "--max-dim", "1")
+    yield _verify(3, 7, "--max-dim", "1000", layers="cohomology")
+    yield _verify(2600, 3, layers="cohomology")
+
+
+# Like the golden files, recomputed only when CHANGES.md states a contract
+# change.
+GRID_SHA256 = "8483435666059ae7114133df10a427f47f4791c8dbe4e2691356dccf53fee3fc"
+
+
+def test_command_grid_digest(capsys):
+    commands = list(_grid())
+    assert len(commands) == 402
+    digest = hashlib.sha256()
+    for argv in commands:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, code, out, err)).encode("utf-8"))
+    assert digest.hexdigest() == GRID_SHA256

@@ -267,8 +267,9 @@ def test_replay_proof_counts_profiles_from_the_near_end_at_large_power():
 def test_survivor_count_cross_checks_the_walk(monkeypatch):
     step = next(s for s in replay_proof(2, 3).steps if s.id == "kunneth-survivors")
     assert (step.status, step.witness["matches_analytic"]) == (PASS, True)
-    exact = grading.count_admissible
-    monkeypatch.setattr(grading, "count_admissible", lambda g, m, nu: exact(g, m, nu) + 1)
+    # one more profile in {0..2g}^m, g = 2, and the survivor count left exact
+    exact = grading._count_bounded
+    monkeypatch.setattr(grading, "_count_bounded", lambda slots, total, cap: exact(slots, total, cap) + (cap == 4))
     step = next(s for s in replay_proof(2, 3).steps if s.id == "kunneth-survivors")
     assert (step.status, step.witness["matches_analytic"]) == (FAIL, False)
 
