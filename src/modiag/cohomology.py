@@ -160,8 +160,10 @@ def scaling_map(factors) -> LinearMap:
 
 class ExtClass(_Combination):
     """An exact cohomology class: a combination of basis monomials whose
-    coefficients follow ``modiag.exact``, plain ``int`` in the closed form of
-    the modified diagonal and ``Fraction`` where a caller passes one."""
+    coefficients follow the one rule of ``modiag.exact``: plain ``int``
+    where every coefficient given is an integer (the unit, the generators,
+    the closed form of the modified diagonal and their pushforwards), and
+    ``Fraction`` where a caller passes one."""
 
 
 def _top(ambient: Ambient) -> int:
@@ -183,7 +185,7 @@ def zero_class(ambient: Ambient) -> ExtClass:
 
 
 def unit(ambient: Ambient) -> ExtClass:
-    return ExtClass(ambient, {0: Fraction(1)})
+    return ExtClass(ambient, {0: 1})
 
 
 def gen_position(ambient: Ambient, block: int, index: int) -> int:
@@ -205,7 +207,7 @@ def monomial_mask(ambient: Ambient, gens: Iterable[tuple[int, int]]) -> int:
 
 
 def generator(ambient: Ambient, block: int, index: int) -> ExtClass:
-    return ExtClass(ambient, {1 << gen_position(ambient, block, index): Fraction(1)})
+    return ExtClass(ambient, {1 << gen_position(ambient, block, index): 1})
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -230,9 +232,9 @@ def wedge(a: ExtClass, b: ExtClass) -> ExtClass:
     return ExtClass(ambient, out)
 
 
-def integrate(c: ExtClass) -> Fraction:
+def integrate(c: ExtClass) -> int | Fraction:
     """Coefficient of the top monomial; zero on everything of lower degree."""
-    return c.terms.get(_top(c.ambient), Fraction(0))
+    return c.terms.get(_top(c.ambient), 0)
 
 
 def _degree_one_images(f: LinearMap, g: int) -> list[tuple[int, int]]:

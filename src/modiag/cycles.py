@@ -3,9 +3,10 @@ tuple calculus on them that the orbit rules of ``diagonals`` are tested
 against.
 
 Cycles here are finite linear combinations of the D(v) with exact rational
-coefficients: ``int`` on the modified-diagonal path, ``Fraction`` where a
-caller passes one.  Each vector v is kept canonical by ``normalize_twist``,
-which applies the gcd and sign rules of the ``diagonals`` docstring.
+coefficients, by the one rule of ``modiag.exact``: ``int`` where the
+coefficients given are integers, ``Fraction`` where a caller passes one.
+Each vector v is kept canonical by ``normalize_twist``, which applies the
+gcd and sign rules of the ``diagonals`` docstring.
 
 The certificate imports nothing from this module: ``import modiag`` loads
 it the first time one of its names is read.
@@ -14,14 +15,18 @@ it the first time one of its names is read.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
 from .diagonals import Ambient, _as_int, _Record, _require_in, normalize_twist
-from .exact import _add_term, _map_terms, combo_add, combo_scale, combo_sorted_items, render_terms
+from .exact import _add_term, _coefficient, _map_terms, combo_add, combo_scale
+from .exact import combo_sorted_items, render_terms
 
 
 def _common_ambient(a, b) -> Ambient:
-    """The ambient shared by two cycles or two classes; a mismatch is an error."""
+    """The ambient shared by two cycles or two classes.  A cycle and a class
+    together are a TypeError, since their keys mean different things, and
+    two ambients that differ are a ValueError."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
     return a.ambient
@@ -43,11 +48,12 @@ class _Combination(_Record):
 class FormalCycle(_Combination):
     """An exact rational combination of twisted diagonals on X^m.
 
-    ``terms`` maps canonical TwistVectors to nonzero coefficients: ``int``
-    in :func:`modified_diagonal` and its pushforwards, ``Fraction`` in
-    cycles built by :func:`cycle` or :func:`twist_cycle`.  Those two
-    normalize raw vectors and fold coefficients, keeping the representation
-    canonical.  Equality holds across the two types, since Fraction(k) == k.
+    ``terms`` maps canonical TwistVectors to nonzero coefficients, by the
+    one rule of ``modiag.exact``: ``int`` in :func:`modified_diagonal`, its
+    pushforwards and cycles built from integers, ``Fraction`` where a caller
+    passes one.  :func:`cycle` and :func:`twist_cycle` normalize raw vectors
+    and fold coefficients, keeping the representation canonical.  Equality
+    holds across the two types, since an integral Fraction equals its int.
     """
 
 
@@ -56,13 +62,14 @@ def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
 
     Raw vectors may be unnormalized; the gcd and sign rules are applied and
     coefficients folded, so cycle(amb, {(2, 2): 1}) equals
-    2^(2g) * D((1, 1)).  The zero vector is rejected: it does not name a
-    twisted diagonal.
+    2^(2g) * D((1, 1)).  Each coefficient follows ``modiag.exact``'s rule:
+    an ``int`` stays an ``int``, anything else becomes a Fraction.  The
+    zero vector is rejected: it does not name a twisted diagonal.
     """
     items = terms.items() if isinstance(terms, Mapping) else terms
     out: dict = {}
     for raw, coeff in items:
-        c = Fraction(coeff)
+        c = _coefficient(coeff)
         if not c:
             continue
         extra, v = normalize_twist(raw, ambient)
@@ -157,8 +164,8 @@ def cycle_scale(c: _Combination, coeff) -> _Combination:
 
 
 def cycle_equal(a: FormalCycle, b: FormalCycle) -> bool:
-    """Exact equality of canonical forms.  Mismatched ambients are an error,
-    not inequality."""
+    """Exact equality of canonical forms.  Mismatched ambients, or a cycle
+    against a class, are an error, not inequality."""
     _common_ambient(a, b)
     return a.terms == b.terms
 

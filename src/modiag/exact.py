@@ -1,11 +1,14 @@
 """Exact sparse linear combinations over the rationals.
 
-Coefficients are exact rationals: ``int`` where every coefficient is an
-integer (the modified-diagonal path), ``fractions.Fraction`` where a caller
-passes one.  Everything in this package is therefore exact: a zero result
-is a proof of cancellation, never a numerical statement.  The two types mix
-freely (``Fraction * int`` is a Fraction) and compare and hash alike for
-integral values, so combos holding either are equal when their values are.
+Coefficients are exact rationals, by one rule that ``_coefficient``
+applies for ``combo``, ``combo_scale`` and ``cycles.cycle``: an ``int`` (a
+``bool`` included) is stored as a plain ``int``, and any other value as
+``Fraction(value)``.  So a combination built from integers stays in ``int``
+arithmetic, and one built from ``Fraction``s stays in ``Fraction``.
+Everything in this package is therefore exact: a zero result is a proof of
+cancellation, never a numerical statement.  The two types mix freely
+(``Fraction * int`` is a Fraction) and compare and hash alike for integral
+values, so combos holding either are equal when their values are.
 
 A combination ("combo") is a plain dict mapping keys to nonzero exact
 coefficients.  The empty dict is the zero combination.  Keys must be
@@ -26,6 +29,12 @@ Rational = Fraction
 
 # A combo is dict[K, int | Fraction] with no zero values, for totally ordered K.
 Combo = dict
+
+
+def _coefficient(value) -> int | Fraction:
+    """The package's one coefficient rule: an ``int`` (a ``bool`` included)
+    becomes a plain ``int``; any other value becomes ``Fraction(value)``."""
+    return int(value) if isinstance(value, int) else Fraction(value)
 
 
 def _add_term(out: dict, key, value) -> None:
@@ -58,13 +67,14 @@ def combo(terms: Mapping | Iterable[tuple] = ()) -> Combo:
     """Build a combo in canonical form.
 
     Accepts a mapping or an iterable of (key, coefficient) pairs.
-    Duplicate keys are folded together, coefficients are coerced to
-    Fraction, and keys whose total coefficient is zero are dropped.
+    Duplicate keys are folded together, each coefficient follows
+    ``_coefficient`` (an ``int`` stays an ``int``, anything else becomes a
+    Fraction), and keys whose total coefficient is zero are dropped.
     """
     items = terms.items() if isinstance(terms, Mapping) else terms
     out: Combo = {}
     for key, value in items:
-        c = Fraction(value)
+        c = _coefficient(value)
         if c:
             _add_term(out, key, c)
     return out
@@ -81,13 +91,11 @@ def combo_add(a: Combo, b: Combo) -> Combo:
 def combo_scale(a: Combo, c) -> Combo:
     """Multiply every coefficient by c; the zero scalar empties the combo.
 
-    An ``int`` scalar stays an ``int``; any other is coerced to Fraction.
+    The scalar follows ``_coefficient``: an ``int`` stays an ``int``, so
+    integral coefficients stay integral, and any other becomes a Fraction.
     """
-    if not isinstance(c, int):
-        c = Fraction(c)
-    if not c:
-        return {}
-    return {key: coeff * c for key, coeff in a.items()}
+    c = _coefficient(c)
+    return {key: coeff * c for key, coeff in a.items()} if c else {}
 
 
 def combo_sorted_items(a: Combo) -> list[tuple]:

@@ -174,11 +174,12 @@ def test_modified_diagonal_term_count():
 
 def test_integer_pushforwards_match_fraction_oracle():
     # The modified diagonal carries int coefficients; its copy built by
-    # cycle() carries Fractions.  Every pushforward must agree on both.
+    # cycle() from explicit Fractions carries Fractions.  Every pushforward
+    # must agree on both.
     for g, m in itertools.product((1, 2), range(1, 8)):
         amb = Ambient(g, m)
         md = modified_diagonal(amb)
-        oracle = cycle(amb, md.terms)
+        oracle = cycle(amb, {v: Fraction(c) for v, c in md.terms.items()})
         assert all(type(c) is Fraction for c in oracle.terms.values())
         for n in (n for n in range(-5, 6) if n):
             got = mult_pushforward_all(md, n)

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modiag import Ambient, cycle, ext_class
 from modiag.exact import _int_repr, combo, combo_add, combo_scale, combo_sorted_items, render_terms
 
 keys = st.integers(-5, 5)
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=8)
-combos = st.dictionaries(keys, coefficients, max_size=6).map(combo)
+# Every exact value a caller may pass: an int, a bool, or a Fraction, which
+# may be integral.
+exact_values = st.one_of(st.integers(-20, 20), st.booleans(), coefficients)
+combos = st.dictionaries(keys, exact_values, max_size=6).map(combo)
 
 
 def test_add_disjoint():
@@ -68,7 +72,29 @@ def test_scale_composes(a, c, d):
 def test_canonical_form_is_idempotent(a):
     assert combo(a) == a
     assert all(coeff != 0 for coeff in a.values())
-    assert all(isinstance(coeff, Fraction) for coeff in a.values())
+    # the one rule: a plain int or a Fraction, and canonicalizing again keeps each type
+    assert all(type(coeff) in (int, Fraction) for coeff in a.values())
+    assert [type(coeff) for coeff in combo(a).values()] == [type(coeff) for coeff in a.values()]
+
+
+@given(exact_values)
+def test_an_int_is_stored_exactly_when_one_is_given(value):
+    # combo, combo_scale, cycle and ext_class follow one rule: an int (a
+    # bool included) is stored as a plain int, anything else as a Fraction,
+    # equal to Fraction(value) either way; zero stores nothing.
+    amb = Ambient(1, 1)
+    stored = [
+        combo({0: value}).get(0),
+        combo_scale({0: 1}, value).get(0),
+        cycle(amb, {(1,): value}).terms.get((1,)),
+        ext_class(amb, {0: value}).terms.get(0),
+    ]
+    if not value:
+        assert stored == [None] * 4
+        return
+    for coeff in stored:
+        assert type(coeff) is (int if isinstance(value, int) else Fraction)
+        assert coeff == Fraction(value)
 
 
 @given(combos, combos)
