@@ -222,7 +222,7 @@ def _merge_sign(a: int, b: int) -> int:
 
 def wedge(a: ExtClass, b: ExtClass) -> ExtClass:
     """Graded product; a repeated generator kills a term."""
-    ambient = _common_ambient(a, b)
+    ambient = _common_ambient(ExtClass, a, b)
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -234,7 +234,7 @@ def wedge(a: ExtClass, b: ExtClass) -> ExtClass:
 
 def integrate(c: ExtClass) -> int | Fraction:
     """Coefficient of the top monomial; zero on everything of lower degree."""
-    return c.terms.get(_top(c.ambient), 0)
+    return c.terms.get(_top(_common_ambient(ExtClass, c)), 0)
 
 
 def _degree_one_images(f: LinearMap, g: int) -> list[tuple[int, int]]:
@@ -280,7 +280,7 @@ def _pull_monomial(image: list[tuple[int, int]], mask: int) -> tuple[int, int]:
 
 def pullback(f: LinearMap, c: ExtClass) -> ExtClass:
     """Pullback along f of a class on the target, monomial by monomial."""
-    amb = c.ambient
+    amb = _common_ambient(ExtClass, c)
     if amb.m != f.target_blocks:
         raise ValueError("class does not live on the map's target")
     image = _degree_one_images(f, amb.g)
@@ -301,7 +301,7 @@ def pushforward(f: LinearMap, c: ExtClass) -> ExtClass:
     factors, C(2g, d) * m^(2g-d) over its whole graded piece, and at most
     one along a projection or a scaling.
     """
-    amb = c.ambient
+    amb = _common_ambient(ExtClass, c)
     if amb.m != f.source_blocks:
         raise ValueError("class does not live on the map's source")
     g = amb.g
@@ -336,11 +336,12 @@ def class_of_twist(v, ambient: Ambient) -> ExtClass:
 
 def class_of_cycle(c: FormalCycle) -> ExtClass:
     """Linear extension of class_of_twist over a formal cycle."""
+    ambient = _common_ambient(FormalCycle, c)
     out: dict = {}
     for v, coeff in sorted(c.terms.items()):
-        for mask, k in class_of_twist(v, c.ambient).terms.items():
+        for mask, k in class_of_twist(v, ambient).terms.items():
             _add_term(out, mask, coeff * k)
-    return ExtClass(c.ambient, out)
+    return ExtClass(ambient, out)
 
 
 def modified_diagonal_class(ambient: Ambient) -> ExtClass:
@@ -383,18 +384,16 @@ def block_profile(ambient: Ambient, mask: int) -> tuple[int, ...]:
 
 def kunneth_component(c: ExtClass, profile) -> ExtClass:
     """The part of c supported on monomials with the given block profile."""
-    profile = _as_ints(profile)
-    if len(profile) != c.ambient.m:
-        raise ValueError(f"profile must have length {c.ambient.m}, got {len(profile)}")
-    return ExtClass(
-        c.ambient,
-        {mask: k for mask, k in c.terms.items() if block_profile(c.ambient, mask) == profile},
-    )
+    ambient, profile = _common_ambient(ExtClass, c), _as_ints(profile)
+    if len(profile) != ambient.m:
+        raise ValueError(f"profile must have length {ambient.m}, got {len(profile)}")
+    return ExtClass(ambient, {mask: k for mask, k in c.terms.items() if block_profile(ambient, mask) == profile})
 
 
 def profile_support(c: ExtClass) -> set[tuple[int, ...]]:
     """The set of block profiles carrying a nonzero term of c."""
-    return {block_profile(c.ambient, mask) for mask in c.terms}
+    ambient = _common_ambient(ExtClass, c)
+    return {block_profile(ambient, mask) for mask in c.terms}
 
 
 def _positions(mask: int) -> tuple[int, ...]:
@@ -409,7 +408,7 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 def render_class(c: ExtClass) -> str:
     """Canonical text form: terms sorted by monomial, generators as e[j,k]."""
-    two_g = 2 * c.ambient.g
+    two_g = 2 * _common_ambient(ExtClass, c).g
     return render_terms(
         (coeff, "^".join(f"e[{pos // two_g + 1},{pos % two_g + 1}]" for pos in _positions(mask)))
         for mask, coeff in sorted(c.terms.items(), key=lambda kv: _positions(kv[0]))

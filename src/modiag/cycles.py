@@ -21,13 +21,16 @@ from .exact import _add_term, _coefficient, _map_terms, combo_add, combo_scale
 from .exact import combo_sorted_items, render_terms
 
 
-def _common_ambient(a, b) -> Ambient:
-    """The ambient shared by two cycles or two classes.  A cycle and a class
-    together are a TypeError, since their keys mean different things, and
-    two ambients that differ are a ValueError."""
-    if type(a) is not type(b):
+def _common_ambient(kind: type, a, b=None) -> Ambient:
+    """The ambient of a record a of type kind, the one an operation needs,
+    and shared with b when b is given.  A cycle and a class together are a
+    TypeError, since their keys mean different things, and so is one
+    record of the other kind; two ambients that differ are a ValueError."""
+    if b is not None and type(a) is not type(b):
         raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
-    if a.ambient != b.ambient:
+    if type(a) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(a).__name__}")
+    if b is not None and a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
     return a.ambient
 
@@ -63,8 +66,9 @@ def cycle(ambient: Ambient, terms: Mapping | Iterable[tuple]) -> FormalCycle:
     Raw vectors may be unnormalized; the gcd and sign rules are applied and
     coefficients folded, so cycle(amb, {(2, 2): 1}) equals
     2^(2g) * D((1, 1)).  Each coefficient follows ``modiag.exact``'s rule:
-    an ``int`` stays an ``int``, anything else becomes a Fraction.  The
-    zero vector is rejected: it does not name a twisted diagonal.
+    an ``int`` stays an ``int``, a ``float`` is a TypeError, anything else
+    becomes a Fraction.  The zero vector is rejected: it does not name a
+    twisted diagonal.
     """
     items = terms.items() if isinstance(terms, Mapping) else terms
     out: dict = {}
@@ -110,9 +114,9 @@ def mult_pushforward_factor(c: FormalCycle, j: int, n: int) -> FormalCycle:
     was supported on factor j alone) collapses onto a point and is dropped.
     n must be an integer; a bool, float, string or Fraction raises TypeError.
     """
-    j = _require_in("factor index", j, 1, c.ambient.m, IndexError)
+    amb = _common_ambient(FormalCycle, c)
+    j = _require_in("factor index", j, 1, amb.m, IndexError)
     n = _as_int(n)
-    amb = c.ambient
     return FormalCycle(
         amb, _map_terms(c.terms, lambda v: normalize_twist(v[: j - 1] + (n * v[j - 1],) + v[j:], amb))
     )
@@ -129,7 +133,7 @@ def mult_pushforward_all(c: FormalCycle, n: int) -> FormalCycle:
     n = _as_int(n)
     if n == 0:
         raise ValueError("n = 0 collapses the whole product; rejected")
-    amb = c.ambient
+    amb = _common_ambient(FormalCycle, c)
     return FormalCycle(amb, _map_terms(c.terms, lambda v: normalize_twist([n * x for x in v], amb)))
 
 
@@ -141,7 +145,7 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
     onto a point and is dropped.  Requires m >= 2: contracting the last
     factor would land in the base, which is out of scope.
     """
-    amb = c.ambient
+    amb = _common_ambient(FormalCycle, c)
     if amb.m < 2:
         raise ValueError("cannot contract the only factor")
     j = _require_in("factor index", j, 1, amb.m, IndexError)
@@ -154,7 +158,7 @@ def proj_pushforward(c: FormalCycle, j: int) -> FormalCycle:
 def cycle_add(a: _Combination, b: _Combination) -> _Combination:
     """The sum of two cycles, or of two classes, of one ambient; it is
     ``cohomology.ext_add`` too."""
-    return type(a)(_common_ambient(a, b), combo_add(a.terms, b.terms))
+    return type(a)(_common_ambient(type(a), a, b), combo_add(a.terms, b.terms))
 
 
 def cycle_scale(c: _Combination, coeff) -> _Combination:
@@ -164,14 +168,15 @@ def cycle_scale(c: _Combination, coeff) -> _Combination:
 
 
 def cycle_equal(a: FormalCycle, b: FormalCycle) -> bool:
-    """Exact equality of canonical forms.  Mismatched ambients, or a cycle
-    against a class, are an error, not inequality."""
-    _common_ambient(a, b)
+    """Exact equality of canonical forms of two cycles.  Mismatched
+    ambients, or a class on either side, are an error, not inequality."""
+    _common_ambient(FormalCycle, a, b)
     return a.terms == b.terms
 
 
 def render_cycle(c: FormalCycle) -> str:
     """Canonical text form: terms sorted by vector, 'coeff * D(v_1,...,v_m)'."""
+    _common_ambient(FormalCycle, c)
     return render_terms(
         (coeff, f"D({','.join(map(str, v))})") for v, coeff in combo_sorted_items(c.terms)
     )

@@ -2,9 +2,10 @@
 
 Coefficients are exact rationals, by one rule that ``_coefficient``
 applies for ``combo``, ``combo_scale`` and ``cycles.cycle``: an ``int`` (a
-``bool`` included) is stored as a plain ``int``, and any other value as
-``Fraction(value)``.  So a combination built from integers stays in ``int``
-arithmetic, and one built from ``Fraction``s stays in ``Fraction``.
+``bool`` included) is stored as a plain ``int``, a ``float`` is refused
+with TypeError, and any other value is stored as ``Fraction(value)``.  So
+a combination built from integers stays in ``int`` arithmetic, and one
+built from ``Fraction``s stays in ``Fraction``.
 Everything in this package is therefore exact: a zero result is a proof of
 cancellation, never a numerical statement.  The two types mix freely
 (``Fraction * int`` is a Fraction) and compare and hash alike for integral
@@ -33,7 +34,11 @@ Combo = dict
 
 def _coefficient(value) -> int | Fraction:
     """The package's one coefficient rule: an ``int`` (a ``bool`` included)
-    becomes a plain ``int``; any other value becomes ``Fraction(value)``."""
+    becomes a plain ``int``, a ``float`` is a TypeError, since its binary
+    value is rarely the number meant, and any other value becomes
+    ``Fraction(value)``."""
+    if isinstance(value, float):
+        raise TypeError(f"a coefficient must be exact, not the float {value!r}")
     return int(value) if isinstance(value, int) else Fraction(value)
 
 
@@ -68,8 +73,9 @@ def combo(terms: Mapping | Iterable[tuple] = ()) -> Combo:
 
     Accepts a mapping or an iterable of (key, coefficient) pairs.
     Duplicate keys are folded together, each coefficient follows
-    ``_coefficient`` (an ``int`` stays an ``int``, anything else becomes a
-    Fraction), and keys whose total coefficient is zero are dropped.
+    ``_coefficient`` (an ``int`` stays an ``int``, a ``float`` is a
+    TypeError, anything else becomes a Fraction), and keys whose total
+    coefficient is zero are dropped.
     """
     items = terms.items() if isinstance(terms, Mapping) else terms
     out: Combo = {}
@@ -92,7 +98,8 @@ def combo_scale(a: Combo, c) -> Combo:
     """Multiply every coefficient by c; the zero scalar empties the combo.
 
     The scalar follows ``_coefficient``: an ``int`` stays an ``int``, so
-    integral coefficients stay integral, and any other becomes a Fraction.
+    integral coefficients stay integral, a ``float`` is a TypeError, and
+    any other becomes a Fraction.
     """
     c = _coefficient(c)
     return {key: coeff * c for key, coeff in a.items()} if c else {}

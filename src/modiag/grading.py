@@ -35,21 +35,23 @@ certificate with one step per move:
      by the rank of the last one.  The profiles with an entry 2g are
      counted in closed form, C(m, s) C(2g-1, s-1) of them with exactly s
      nonzero complements, and the certificate cross-checks the partition
-     against ``_count_bounded(m, 2g(m-1), 2g)``, the count of {0..2g}^m
-     that ``count_admissible`` returns.  The work is at most
-     ``SURVIVOR_LIST_CAP`` tuples, min(m-1, 2g) big-int-by-small-int
-     steps, two binomials, and the rank when the list is truncated;
+     against C(2g+m-1, 2g), the profiles' complements read as the
+     compositions of 2g into m parts at least 0, where the cap 2g never
+     binds: the count that ``count_admissible`` returns at this total.
+     The work is at most ``SURVIVOR_LIST_CAP`` tuples, min(m-1, 2g)
+     big-int-by-small-int steps, two binomials, and the rank when the list
+     is truncated;
   6. optionally, the exterior-algebra realization is read as an
      independent shadow of the same conclusion, from its closed form
      (``cohomology`` docstring) and without building a term: the maps onto
      an image S carry the superset sum c(S) of the signs a_k (``diagonals``
-     docstring), and each image with c != 0 (``diagonals._live_images``)
-     gives one profile per composition of 2g into |S| positive parts: the
-     same bounded walk lists its entries on S, and 2g is placed off S.  Only
-     S = {1..m} survives, so the shadow is zero for m >= 2g+1 and is
-     otherwise supported on C(2g-1, m-1) profiles, a count checked against
-     that binomial, and each profile against the definition of a survivor,
-     rather than against the list of step 5.
+     docstring), and c(S) != 0 (``diagonals._live_images``) only for
+     S = {1..m}, which no map from 2g points reaches for m >= 2g+1.  So the
+     shadow is zero there, and is otherwise one profile per composition of
+     2g into m positive parts, which the same bounded walk lists:
+     C(2g-1, m-1) profiles, a count checked against that binomial, and
+     each profile against the definition of a survivor, rather than
+     against the list of step 5.
 
 For m <= 2g the pigeonhole step reports its counterexample and the
 certificate makes no claim about vanishing; nothing is overstated in
@@ -117,11 +119,10 @@ def weight_from_eigenvalue(g: int, m: int, w: int) -> int:
 
 def _count_bounded(slots: int, total: int, cap: int) -> int:
     """Number of tuples in {0..cap}^slots with the given sum, by
-    inclusion-exclusion on entries exceeding cap.  The map i -> cap - i
-    permutes {0..cap}^slots, so the sums total and slots*cap - total are
-    counted alike, and the nearer one is used: at the certificate's weight
-    2g(m-1) the reflected sums are 2g and 2g - m, a single term each.
-    Every caller passes cap = 2g or 2g - 1, so cap >= 1, and slots >= 1.
+    inclusion-exclusion on entries exceeding cap, for ``count_admissible``
+    at any total; no certificate calls it.  The map i -> cap - i permutes
+    {0..cap}^slots, so the sums total and slots*cap - total are counted
+    alike, and the nearer one is used.  cap >= 1 and slots >= 1.
 
     Term k is (-1)^k C(slots, k) C(rest + slots - 1, slots - 1), with
     rest = total - k(cap + 1) >= 0.  Only term 0's C(total + slots - 1,
@@ -148,7 +149,9 @@ def _count_bounded(slots: int, total: int, cap: int) -> int:
 
 
 def count_admissible(g: int, m: int, nu: int) -> int:
-    """Number of multidegrees in {0..2g}^m of total nu, without enumeration."""
+    """Number of multidegrees in {0..2g}^m of total nu, without enumeration.
+    At the certificate's total 2g(m-1) it is C(2g+m-1, 2g), the binomial
+    the certificate computes itself."""
     Ambient(g, m)
     return _count_bounded(m, _as_int(nu), 2 * g)
 
@@ -198,15 +201,19 @@ def filter_top(degrees: Iterable[MultiDegree], g: int) -> list[MultiDegree]:
 
 def _rank(t: MultiDegree, cap: int) -> int:
     """The number of tuples in {0..cap}^len(t) with t's sum that precede t
-    lexicographically.  Those that first differ from t at position j hold
-    some d < t_j there, and ``_count_bounded`` counts their tails.  d starts
-    where the rest still fits in the slots after j, so no count is asked of
-    zero slots."""
+    lexicographically, for t whose deficit len(t)*cap - sum(t) is at most
+    cap, as every survivor's 2g - m is at cap = 2g - 1.  Those that first
+    differ from t at position j hold some d < t_j there.  Their tails in
+    the slots after j have a deficit no larger than t's, and read as cap
+    minus each entry they are the tuples of that sum, none of whose
+    entries can pass cap, so stars and bars counts them exactly.  d
+    starts where the rest still fits in the slots after j, so no count is
+    asked of zero slots."""
     rank, rest = 0, sum(t)
     for j, entry in enumerate(t):
         slots = len(t) - 1 - j
         for d in range(max(0, rest - cap * slots), entry):
-            rank += _count_bounded(slots, rest - d, cap)
+            rank += comb(cap * slots - rest + d + slots - 1, slots - 1)
         rest -= entry
     return rank
 
@@ -274,35 +281,35 @@ def certificate_to_json(cert: Certificate) -> str:
     which is the key order, written directly by ``_to_json``.  The text is
     byte for byte ``json.dumps(cert, default=vars, indent=2) + "\\n"``, which
     the tests keep as the oracle; that form runs the standard library's
-    pure-Python encoder, because ``indent`` turns its C encoder off."""
+    pure-Python encoder, because ``indent`` turns its C encoder off.  Only
+    the certificate grammar is written, and anything else in a witness
+    raises TypeError (``_to_json``)."""
     return _to_json(cert, "\n") + "\n"
 
 
 def _to_json(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, default=vars, indent=2)`` writes it,
-    with ``newline`` the line break plus the current indentation.  Only what
-    that form writes the same way is accepted: a float, a non-string key or
-    an object without ``__dict__`` raises TypeError.  An int past Python's
-    int-to-text digit limit, which ``int.__repr__`` refuses, is written by
-    ``_int_repr``.
+    with ``newline`` the line break plus the current indentation.  Only the
+    certificate grammar is accepted: a dict with string keys, a list or
+    tuple, or a ``_Record``, read through ``vars``, holding these or values
+    of exactly the type ``str``, ``int`` or ``bool``.  Anything else raises
+    TypeError: a float, None, a subclass of ``int`` or ``str`` such as an
+    IntEnum, an object that is not a record, or a non-string key, which
+    ``_quote`` refuses (a subclass of ``str`` as a key is quoted).  An int
+    past Python's int-to-text digit limit, which ``int.__repr__`` refuses,
+    is written by ``_int_repr``.
 
-    A container writes each item whose type is exactly ``str``, ``int`` or
-    ``bool`` in its own loop, and recurses for the rest: containers,
-    records, None, subclasses of ``int`` and ``str``, and what is refused.
-    So ``value`` is never a bool.  Each container's text is one join of its
-    pieces, brackets and separators included."""
+    A container writes each exact ``str``, ``int`` and ``bool`` item in
+    its own loop, and recurses for the rest.  Each container's text is one
+    join of its pieces, brackets and separators included."""
     if isinstance(value, dict):
         keyed, pairs = True, value.items()  # _quote raises TypeError on a non-string key
     elif isinstance(value, (list, tuple)):
         keyed, pairs = False, enumerate(value)
-    elif value is None:
-        return "null"
-    elif isinstance(value, str):
-        return _quote(value)
-    elif isinstance(value, int):
-        return _int_repr(int(value))  # a subclass, written as int.__repr__ writes it
-    else:
+    elif isinstance(value, _Record):
         return _to_json(vars(value), newline)  # a Certificate or a Step
+    else:
+        raise TypeError(f"a certificate holds no {type(value).__name__}")
     if not value:
         return "{}" if keyed else "[]"
     inner = newline + "  "
@@ -419,8 +426,11 @@ def _grading_steps(g: int, m: int) -> list[Step]:
     )
 
     outcome = prove_empty_pigeonhole(g, m)
-    admissible_count = _count_bounded(m, nu, 2 * g)
-    survivor_count = _count_bounded(m, nu, 2 * g - 1)
+    # Stars and bars, each count exact: the complements of a profile sum to
+    # 2g, so the cap 2g never binds, and a survivor's complements, each at
+    # least 1, are one composition of 2g into m positive parts.
+    admissible_count = comb(2 * g + m - 1, 2 * g)
+    survivor_count = comb(2 * g - 1, m - 1)
     missed, survivors = _kunneth_survivors(g, m)
     # Distinct survivors in increasing order, min(count, cap) of them, are
     # all of them when the count fits under the cap; a truncated list is
@@ -480,18 +490,15 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
 
     A map kappa onto an image S writes c(S) * pi_kappa on its own monomial,
     whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
-    docstring).  So an image with c = 0 writes nothing, and each image with
-    c != 0, as ``_live_images`` yields it, carries one profile
-    per composition of 2g into |S| positive parts, the fibre sizes.  Its
-    entries on S are the tuples in {0..2g-1}^|S| of total 2g(|S|-1), which
-    ``_iter_bounded`` lists, and 2g is placed off S.  The profile
-    determines S, so no two images share one."""
-    top = 2 * g
+    docstring).  So an image with c = 0 writes nothing, and c(S) != 0, as
+    ``_live_images`` yields it, only for S = {1..m}, which carries one
+    profile per composition of 2g into m positive parts, the fibre sizes:
+    the tuples in {0..2g-1}^m of total 2g(m-1), which ``_iter_bounded``
+    lists.  A partial image would give tuples of the wrong length and sum,
+    which ``_is_survivor`` and the count C(2g-1, m-1) reject."""
     support = []
     for _, image in _live_images(g, m):
-        for entries in _iter_bounded(len(image), top * (len(image) - 1), top - 1):
-            on_image = dict(zip(image, entries))
-            support.append(tuple(on_image.get(j, top) for j in range(m)))
+        support.extend(_iter_bounded(len(image), 2 * g * (len(image) - 1), 2 * g - 1))
     return sorted(support)
 
 
@@ -503,8 +510,8 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     integer powers, for c(S), plus one profile per composition of 2g into
     m positive parts, C(2g-1, m-1) <= C(2gm, 2g) of them.
     Computed: c(S) for each image size, by ``_live_images``, and
-    the profiles on each live image, by ``_shadow_support`` from the
-    bounded walk with 2g placed off the image.
+    the profiles on the one live image {1..m}, by ``_shadow_support`` from
+    the bounded walk.
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
     term of the class is built.  The support must hold C(2g-1, m-1)

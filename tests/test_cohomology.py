@@ -40,11 +40,15 @@ from modiag import (
     modified_diagonal,
     modified_diagonal_class,
     monomial_mask,
+    mult_pushforward_all,
+    mult_pushforward_factor,
     profile_support,
+    proj_pushforward,
     projection_map,
     pullback,
     pushforward,
     render_class,
+    render_cycle,
     scaling_map,
     twist_cycle,
     unit,
@@ -157,6 +161,34 @@ def test_a_cycle_and_a_class_do_not_combine():
             with pytest.raises(TypeError) as err:
                 combine(a, b)
             assert str(err.value) == f"cannot combine {type(a).__name__} with {type(b).__name__}"
+    # Read as the other kind, one record fails deep inside or gives a number
+    # that proves nothing (integrating a cycle read 0), so each operation
+    # checks the kind it is given.
+    on_classes = [
+        integrate,
+        render_class,
+        profile_support,
+        lambda c: wedge(c, c),
+        lambda c: pullback(scaling_map((1, 1)), c),
+        lambda c: pushforward(drop_factor_map(2, 1), c),
+        lambda c: kunneth_component(c, (0, 0)),
+    ]
+    on_cycles = [
+        class_of_cycle,
+        render_cycle,
+        lambda c: cycle_equal(c, c),
+        lambda c: mult_pushforward_all(c, 2),
+        lambda c: mult_pushforward_factor(c, 1, 2),
+        lambda c: proj_pushforward(c, 1),
+    ]
+    for operations, kind, wrongs in (
+        (on_classes, "ExtClass", (cyc, zero_cycle(E2))),
+        (on_cycles, "FormalCycle", (cls, zero_class(E2))),
+    ):
+        for operation, wrong in itertools.product(operations, wrongs):
+            with pytest.raises(TypeError) as err:
+                operation(wrong)
+            assert str(err.value) == f"expected {kind}, got {type(wrong).__name__}"
 
 
 def test_integrate_picks_top_coefficient():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modiag import Ambient, cycle, ext_class
+from modiag import Ambient, cycle, cycle_scale, ext_class, twist_cycle
 from modiag.exact import _int_repr, combo, combo_add, combo_scale, combo_sorted_items, render_terms
 
 keys = st.integers(-5, 5)
@@ -40,7 +40,27 @@ def test_scale_examples():
     assert combo_scale({}, 7) == {}
     # an int scalar keeps int coefficients int; any other becomes a Fraction
     assert [type(c) for c in combo_scale({(1,): -1}, 16).values()] == [int]
-    assert combo_scale({(1,): -1}, 0.5) == {(1,): Fraction(-1, 2)}
+    assert combo_scale({(1,): -1}, Decimal("0.5")) == {(1,): Fraction(-1, 2)}
+    # a float is refused, not read as the binary fraction it holds
+    with pytest.raises(TypeError):
+        combo_scale({(1,): -1}, 0.5)
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, 0.0, 2.0, float("inf")])
+def test_a_float_coefficient_is_refused(value):
+    # 0.1 would be stored as 3602879701896397/36028797018963968, and 0.0 as
+    # nothing, though neither is an exact number the caller wrote.
+    amb = Ambient(1, 1)
+    for build in (
+        lambda: combo({0: value}),
+        lambda: combo_scale({0: 1}, value),
+        lambda: cycle(amb, {(1,): value}),
+        lambda: twist_cycle(amb, (1,), value),
+        lambda: cycle_scale(twist_cycle(amb, (1,)), value),
+        lambda: ext_class(amb, {0: value}),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_constructor_folds_duplicates_and_drops_zeros():
