@@ -397,13 +397,9 @@ def profile_support(c: ExtClass) -> set[tuple[int, ...]]:
 
 
 def _positions(mask: int) -> tuple[int, ...]:
-    out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out.append(low.bit_length() - 1)
-        rest &= rest - 1
-    return tuple(out)
+    """The set bits of mask, in increasing position: one scan of its binary
+    digits, read from the lowest."""
+    return tuple(i for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
 
 
 def render_class(c: ExtClass) -> str:

@@ -283,7 +283,8 @@ def certificate_to_json(cert: Certificate) -> str:
     the tests keep as the oracle; that form runs the standard library's
     pure-Python encoder, because ``indent`` turns its C encoder off.  Only
     the certificate grammar is written, and anything else in a witness
-    raises TypeError (``_to_json``)."""
+    raises TypeError (``_to_json``).  Every int is written by ``_int_repr``,
+    the package's one writer of an int."""
     return _to_json(cert, "\n") + "\n"
 
 
@@ -295,9 +296,9 @@ def _to_json(value, newline: str) -> str:
     of exactly the type ``str``, ``int`` or ``bool``.  Anything else raises
     TypeError: a float, None, a subclass of ``int`` or ``str`` such as an
     IntEnum, an object that is not a record, or a non-string key, which
-    ``_quote`` refuses (a subclass of ``str`` as a key is quoted).  An int
-    past Python's int-to-text digit limit, which ``int.__repr__`` refuses,
-    is written by ``_int_repr``.
+    ``_quote`` refuses (a subclass of ``str`` as a key is quoted).  Every
+    int is written by ``_int_repr``, the package's one writer of an int,
+    which also writes one past Python's int-to-text digit limit.
 
     A container writes each exact ``str``, ``int`` and ``bool`` item in
     its own loop, and recurses for the rest.  Each container's text is one
@@ -322,10 +323,7 @@ def _to_json(value, newline: str) -> str:
         if kind is str:
             out.append(_quote(v))
         elif kind is int:
-            try:
-                out.append(int.__repr__(v))
-            except ValueError:  # past the int-to-text digit limit
-                out.append(_int_repr(v))
+            out.append(_int_repr(v))
         elif kind is bool:
             out.append("true" if v else "false")
         else:
@@ -486,7 +484,8 @@ def _grading_steps(g: int, m: int) -> list[Step]:
 
 
 def _shadow_support(g: int, m: int) -> list[MultiDegree]:
-    """The sorted Kunneth support of [Gamma(m)], read from its closed form.
+    """The Kunneth support of [Gamma(m)], read from its closed form, in the
+    order the walk yields it.
 
     A map kappa onto an image S writes c(S) * pi_kappa on its own monomial,
     whose profile is 2g - |kappa^-1(j)| on S and 2g off it (``cohomology``
@@ -494,12 +493,14 @@ def _shadow_support(g: int, m: int) -> list[MultiDegree]:
     ``_live_images`` yields it, only for S = {1..m}, which carries one
     profile per composition of 2g into m positive parts, the fibre sizes:
     the tuples in {0..2g-1}^m of total 2g(m-1), which ``_iter_bounded``
-    lists.  A partial image would give tuples of the wrong length and sum,
-    which ``_is_survivor`` and the count C(2g-1, m-1) reject."""
+    lists in lexicographic order.  The list is not sorted again, so the
+    strict-order check of ``_cohomology_step`` reads the walk itself.  A
+    partial image would give tuples of the wrong length and sum, which
+    ``_is_survivor`` and the count C(2g-1, m-1) reject."""
     support = []
     for _, image in _live_images(g, m):
         support.extend(_iter_bounded(len(image), 2 * g * (len(image) - 1), 2 * g - 1))
-    return sorted(support)
+    return support
 
 
 def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
@@ -515,10 +516,11 @@ def _cohomology_step(g: int, m: int, max_dim: int) -> Step:
     By construction: each map kappa writes its own monomial, so no component
     cancels, and the class is zero exactly when its support is empty; no
     term of the class is built.  The support must hold C(2g-1, m-1)
-    distinct profiles, a binomial that does not come from the walk and is 0
-    for m >= 2g+1, and each of them is checked against the definition of a
-    survivor, total 2g(m-1) and every entry in 0..2g-1, not against the
-    grading layer's list; the containment is written out at m <= 2g."""
+    profiles in the strictly increasing order the walk yields them, a
+    binomial that does not come from the walk and is 0 for m >= 2g+1, and
+    each of them is checked against the definition of a survivor, total
+    2g(m-1) and every entry in 0..2g-1, not against the grading layer's
+    list; the containment is written out at m <= 2g."""
     dim = comb(2 * g * m, 2 * g)
     witness: dict = {"graded_dimension": dim}
     if dim >= max_dim:

@@ -538,20 +538,13 @@ def test_cli_imports_no_private_name_and_no_lower_layer():
             assert not name.startswith("_") and name not in lower, name
 
 
-def test_grading_imports_nothing_from_cohomology():
-    """The certificate's shadow reads the live images of the closed form from
-    diagonals and runs no exterior-algebra code, so the layer that writes
-    certificates imports nothing from the cohomology module."""
-    imports = _imports(grading)
-    assert imports
-    for module, names in imports:
-        assert "cohomology" not in module.split(".") + names, (module, names)
-
-
 def test_certificate_path_imports_no_oracle_module():
     """``grading`` and ``diagonals`` are what the certificate runs, and
     ``import modiag`` loads them alone: they import nothing from the oracle
-    calculus of ``cycles``, ``exact`` and ``cohomology``."""
+    calculus of ``cycles``, ``exact`` and ``cohomology``.  The certificate's
+    shadow reads the live images of the closed form from ``diagonals`` and
+    runs no exterior-algebra code, so nothing of the cohomology module is
+    imported either."""
     oracle = {"cycles", "exact", "cohomology"}
     for layer in (grading, diagonals):
         imports = _imports(layer)

@@ -714,6 +714,7 @@ def test_shadow_step_fails_on_a_support_that_is_no_survivor(monkeypatch, m, supp
 SHADOW_WALK_FAULTS = {
     "drop": lambda tuples: tuples[:1] + tuples[2:],
     "repeat": lambda tuples: tuples[:1] + tuples[:1] + tuples[2:],
+    "reverse": lambda tuples: tuples[::-1],
 }
 
 
@@ -722,13 +723,14 @@ SHADOW_WALK_FAULTS = {
     [
         pytest.param(g, m, fault, id=f"{g}-{m}" if fault == "drop" else f"{g}-{m}-{fault}")
         for fault in SHADOW_WALK_FAULTS
-        for g, m in [(2, 3), (3, 4), (4, 5)]
+        for g, m in [(2, 3), (3, 4), (3, 5), (4, 5)]
     ],
 )
 def test_shadow_step_fails_when_the_walk_drops_a_profile(monkeypatch, g, m, fault):
     # Every profile the faulty walk lists is still a survivor.  Only the count
     # against C(2g-1, m-1) catches the one it drops, and only the strict order
-    # of the sorted support the one it repeats in place of another.
+    # of the support as walked the one it repeats in place of another, or a
+    # walk out of lexicographic order, which sorting the support would hide.
     real = grading._iter_bounded
     walked = []
 
@@ -743,7 +745,7 @@ def test_shadow_step_fails_when_the_walk_drops_a_profile(monkeypatch, g, m, faul
     assert walked == [math.comb(2 * g - 1, m - 1)]
     assert len(shadow.witness["support"]) == walked[0] - (fault == "drop")
     assert shadow.witness["survivor_containment"] == "verified"
-    assert (shadow.status, cert.result) == (FAIL, FAIL)
+    assert (shadow.status, cert.result, claim(cert)) == (FAIL, FAIL, "failed")
 
 
 @pytest.mark.parametrize(

@@ -46,8 +46,8 @@ TRUSTED_BASE = """
     grading.prove_empty_pigeonhole grading.replay_proof
     grading.weight_from_eigenvalue
 """.split()
-TRUSTED_LINES = 365
-PACKAGE_LINES = 948
+TRUSTED_LINES = 362
+PACKAGE_LINES = 939
 
 # The oracle calculus and the command line: no verdict may rest on them.
 UNTRUSTED = ("cycles", "exact", "cohomology", "cli")
